@@ -451,6 +451,7 @@ def cmd_replay(args) -> int:
 
     try:
         snapshot = TimelineSnapshot.load(args.snapshot)
+        snapshot.build_server()  # reject a malformed server config up front
     except (OSError, SnapshotError) as exc:
         print(f"cannot load snapshot {args.snapshot!r}: {exc}", file=sys.stderr)
         return 2

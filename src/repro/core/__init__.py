@@ -1,6 +1,6 @@
 """Neo core: GEMM-form kernels, mapping policy, pipelines, NeoContext."""
 
-from .ablation import ABLATION_STEPS, ablation_configs, ablation_labels
+from .ablation import ABLATION_STEPS
 from .autotuner import (
     BUDGETS,
     MODEL_VERSION,
@@ -78,8 +78,6 @@ __all__ = [
     "TENSORFHE_CONFIG",
     "TraceCache",
     "TuningResult",
-    "ablation_configs",
-    "ablation_labels",
     "best_configuration",
     "clear_cost_builder_caches",
     "default_tuning_store",

@@ -75,7 +75,6 @@ from .server import (
     FixedServiceModel,
     NeoServiceModel,
     Server,
-    ServerStats,
     ServingReport,
 )
 from .workload import (
@@ -124,7 +123,6 @@ __all__ = [
     "SHED",
     "ScaleDecision",
     "Server",
-    "ServerStats",
     "ServingReport",
     "SizeBucketedPolicy",
     "SlowDeviceFault",

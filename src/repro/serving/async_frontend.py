@@ -107,10 +107,7 @@ class AsyncFrontEnd:
                 return
             request, fields, future = item
             try:
-                if request is not None:
-                    accepted = self.server.submit(request)
-                else:
-                    accepted = self.server.submit(**fields)
+                accepted = self.server.submit(request, **fields)
             except Exception as exc:  # surface to the submitter
                 if not future.done():
                     future.set_exception(exc)

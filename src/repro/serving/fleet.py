@@ -27,17 +27,19 @@ single device's SLO.  The fleet layer scales the serving stack out:
   NVLink/PCIe bytes, and evaluation keys shard limb-wise across the group
   (cutting per-GPU HBM residency by the group size).
 
-The fleet-level :class:`FleetReport` aggregates per-device utilization,
-queue depths, interconnect bytes per kernel class, latency percentiles and
-SLO attainment, and exports all of it through the telemetry registry and
-tracer (``repro serve --gpus N``, ``repro metrics --gpus N``).
+:class:`Fleet` is a :class:`~repro.serving.server.Server` whose drain
+routes over device groups, so it shares the server's intake, its one
+telemetry emit and its report: :class:`FleetReport` is a
+:class:`~repro.serving.server.ServingReport` over the groups' merged
+records that adds per-device utilization, key residency and interconnect
+bytes per kernel class (``repro serve --gpus N``, ``repro metrics --gpus N``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.memory_footprint import (
     ciphertext_bytes,
@@ -47,17 +49,16 @@ from ..analysis.memory_footprint import (
 from ..analysis.reporting import format_table
 from ..ckks.params import ParameterSet, get_set
 from ..core.pipeline import NEO_CONFIG, PipelineConfig
-from ..core.profiling import latency_percentiles, timeline_schedule_result
 from ..core.streams import ScheduledKernel
 from ..core.trace_cache import TraceCache
 from ..gpu.device import A100, DeviceSpec
 from ..gpu.multi_gpu import NVLINK3, Interconnect, MultiGpuModel
-from ..gpu.trace import ExecutionTrace
-from ..telemetry.registry import MetricsRegistry, global_registry
-from ..telemetry.tracing import Tracer, active_tracer
+from ..telemetry.registry import MetricsRegistry
+from ..telemetry.tracing import Tracer
 from .overload import OverloadPolicy
 from .policies import AdmissionPolicy
-from .request import Request, RequestRecord
+from .queue import RequestQueue
+from .request import Request
 from .server import NeoServiceModel, Server, ServingReport
 
 #: Modeled Galois-key counts per application: the rotation sets their
@@ -361,34 +362,27 @@ class MultiGpuServiceModel:
     def __init__(self, base: NeoServiceModel, multi: MultiGpuModel):
         self.base = base
         self.multi = multi
-        self._traces: Dict[Tuple[str, int], ExecutionTrace] = {}
         self._exchange: Dict[Tuple[str, int], Dict[str, float]] = {}
-        self._models: Dict[DeviceSpec, MultiGpuModel] = {multi.device: multi}
+        self._service_times: Dict[Tuple[str, int, int], float] = {}
 
-    def _trace(self, app: str, size: int) -> ExecutionTrace:
-        key = (app, size)
-        trace = self._traces.get(key)
-        if trace is None:
-            trace = self._traces[key] = self.base.batch_trace(app, size)
-        return trace
-
-    def _model_for(self, size: int) -> MultiGpuModel:
-        # Small batches under-occupy each member GPU exactly as they do a
-        # single device, so the group model runs on the batch-derated spec.
-        device = self.base.batch_device(size)
-        model = self._models.get(device)
-        if model is None:
-            model = self._models[device] = MultiGpuModel(
+    def service_time_s(self, app: str, size: int, streams: int) -> float:
+        key = (app, size, streams)
+        seconds = self._service_times.get(key)
+        if seconds is None:
+            # Small batches under-occupy each member GPU exactly as they do
+            # a single device, so the group model runs on the batch-derated
+            # spec.
+            model = MultiGpuModel(
                 self.multi.gpus,
-                device=device,
+                device=self.base.batch_device(size),
                 interconnect=self.multi.interconnect,
                 exchange=self.multi.exchange,
                 overlap=self.multi.overlap,
             )
-        return model
-
-    def service_time_s(self, app: str, size: int, streams: int) -> float:
-        return self._model_for(size).time_s(self._trace(app, size), streams)
+            seconds = self._service_times[key] = model.time_s(
+                self.base.batch_trace(app, size), streams
+            )
+        return seconds
 
     def exchange_bytes_for(self, app: str, size: int) -> Dict[str, float]:
         """Interconnect bytes per kernel class of one (app, size) batch."""
@@ -396,7 +390,7 @@ class MultiGpuServiceModel:
         table = self._exchange.get(key)
         if table is None:
             table = self._exchange[key] = self.multi.exchange_bytes_by_kernel(
-                self._trace(app, size)
+                self.base.batch_trace(app, size)
             )
         return table
 
@@ -422,13 +416,18 @@ class DeviceReport:
 
 
 @dataclass
-class FleetReport:
-    """Everything one fleet drain produced, aggregated across devices."""
+class FleetReport(ServingReport):
+    """One fleet drain: a :class:`ServingReport` over every group's merged
+    records, batches and overload outcomes, plus the fleet's hardware view.
 
-    gpus: int
-    tensor_parallel: int
-    interconnect: str
-    placement: KeyPlacementPlan
+    Queue figures are per group: ``max_queue_depth`` and ``peak_pressure``
+    are the deepest group's, ``mean_queue_depth`` the mean of the groups'.
+    """
+
+    gpus: int = 1
+    tensor_parallel: int = 1
+    interconnect: str = ""
+    placement: Optional[KeyPlacementPlan] = None
     devices: List[DeviceReport] = field(default_factory=list)
     #: Interconnect bytes per kernel class, summed over every executed
     #: batch (all zero at ``tensor_parallel=1``: data-parallel groups
@@ -439,70 +438,9 @@ class FleetReport:
     #: Host-link traffic: every request's ciphertexts in and results out.
     ingress_bytes: float = 0.0
 
-    # -- aggregation --------------------------------------------------------------
-
     @property
     def groups(self) -> int:
         return len(self.devices)
-
-    @property
-    def records(self) -> List[RequestRecord]:
-        merged = [r for d in self.devices for r in d.report.records]
-        merged.sort(key=lambda r: (r.finish_s, r.request.rid))
-        return merged
-
-    @property
-    def batches(self):
-        return [b for d in self.devices for b in d.report.batches]
-
-    @property
-    def served(self) -> int:
-        return sum(d.report.served for d in self.devices)
-
-    @property
-    def makespan_s(self) -> float:
-        return max((d.report.makespan_s for d in self.devices), default=0.0)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.served / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    def latencies_s(self) -> List[float]:
-        return [r.latency_s for d in self.devices for r in d.report.records]
-
-    def latency_summary(self) -> Dict[str, float]:
-        return latency_percentiles(self.latencies_s())
-
-    @property
-    def slo_violations(self) -> int:
-        return sum(d.report.slo_violations for d in self.devices)
-
-    @property
-    def slo_attainment(self) -> float:
-        served = self.served
-        return 1.0 - self.slo_violations / served if served else 1.0
-
-    # -- overload aggregation -----------------------------------------------------
-
-    @property
-    def shed_count(self) -> int:
-        return sum(d.report.shed_count for d in self.devices)
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(d.report.rejected_count for d in self.devices)
-
-    @property
-    def cancelled_count(self) -> int:
-        return sum(d.report.cancelled_count for d in self.devices)
-
-    @property
-    def offered(self) -> int:
-        return sum(d.report.offered for d in self.devices)
-
-    @property
-    def peak_pressure(self) -> float:
-        return max((d.report.peak_pressure for d in self.devices), default=0.0)
 
     @property
     def exchange_bytes(self) -> float:
@@ -533,9 +471,6 @@ class FleetReport:
         blocks.sort(key=lambda b: (b.start_s, b.stream, b.name))
         return blocks
 
-    def to_chrome_trace(self) -> str:
-        return timeline_schedule_result(self.timeline()).to_chrome_trace()
-
     def fingerprint(self) -> str:
         """SHA-256 over routing + every device timeline; replay-stable."""
         digest = hashlib.sha256()
@@ -554,8 +489,8 @@ class FleetReport:
     # -- reporting ----------------------------------------------------------------
 
     def format(self) -> str:
-        """A printable fleet report: headline, per-device, interconnect."""
-        lat = self.latency_summary()
+        """The serving report under a fleet headline, then the per-device
+        and interconnect tables."""
         tp = (
             f" x {self.tensor_parallel} tensor-parallel"
             if self.tensor_parallel > 1
@@ -564,19 +499,13 @@ class FleetReport:
         lines = [
             f"fleet of {self.gpus} GPU(s) ({self.groups} group(s){tp}, "
             f"{self.interconnect}, keys "
-            f"{'replicated' if self.placement.policy == 'replicate' else 'sharded'}): "
-            f"served {self.served} requests in {self.makespan_s:.1f} simulated s",
-            f"  throughput : {self.throughput_rps:.3f} req/s",
-            f"  latency    : P50 {lat['p50']:.1f} s, P95 {lat['p95']:.1f} s, "
-            f"P99 {lat['p99']:.1f} s, max {lat['max']:.1f} s",
-            f"  SLO        : {self.slo_violations} violations "
-            f"({100 * self.slo_attainment:.1f}% attainment)",
+            f"{'replicated' if self.placement.policy == 'replicate' else 'sharded'})",
+            super().format(),
             "",
         ]
         rows = []
         for device in self.devices:
             report = device.report
-            dlat = latency_percentiles(report.latencies_s())
             rows.append(
                 [
                     f"gpu{device.gpu}",
@@ -584,7 +513,7 @@ class FleetReport:
                     f"{100 * device.utilization:.0f}%",
                     f"{report.mean_queue_depth:.1f}",
                     report.max_queue_depth,
-                    f"{dlat['p95']:.1f}",
+                    f"{report.latency_summary()['p95']:.1f}",
                     report.slo_violations,
                     f"{device.hbm_key_bytes / 2**30:.1f} "
                     f"({100 * device.hbm_fraction:.0f}%)",
@@ -601,26 +530,27 @@ class FleetReport:
             )
         )
         lines.append("")
-        inter_rows = [
-            [name, f"{size / 2**30:.2f}"]
-            for name, size in sorted(self.exchange_bytes_by_kernel.items())
+        traffic = sorted(self.exchange_bytes_by_kernel.items()) + [
+            ("key broadcast", self.key_broadcast_bytes),
+            ("host ingress", self.ingress_bytes),
         ]
-        inter_rows.append(
-            ["key broadcast", f"{self.key_broadcast_bytes / 2**30:.2f}"]
-        )
-        inter_rows.append(["host ingress", f"{self.ingress_bytes / 2**30:.2f}"])
         lines.append(
             format_table(
                 ["traffic class", "GiB"],
-                inter_rows,
+                [[name, f"{size / 2**30:.2f}"] for name, size in traffic],
                 title="interconnect traffic",
             )
         )
         return "\n".join(lines)
 
 
-class Fleet:
+class Fleet(Server):
     """A cluster of modeled GPU servers behind one deterministic router.
+
+    A :class:`~repro.serving.server.Server` whose drain routes the submitted
+    trace over device groups and runs the server's scheduling loop once per
+    group; it then emits spans and metrics once over the merged
+    :class:`FleetReport`.  Cancellations follow their request's group.
 
     Args:
         gpus: modeled devices in the fleet.
@@ -673,13 +603,9 @@ class Fleet:
         self.tensor_parallel = tensor_parallel
         self.groups = gpus // tensor_parallel
         self.params = get_set(params) if isinstance(params, str) else params
-        self.config = config
-        self.lanes = lanes
         self.placement_policy = placement
         self.device = device
         self.interconnect = interconnect
-        self.overload = overload
-        self.tracer = tracer
 
         base = NeoServiceModel(
             self.params,
@@ -692,50 +618,23 @@ class Fleet:
             self._multi = MultiGpuModel(
                 tensor_parallel, device=device, interconnect=interconnect
             )
-            self._model: object = MultiGpuServiceModel(base, self._multi)
+            model: object = MultiGpuServiceModel(base, self._multi)
         else:
             self._multi = None
-            self._model = base
-        self.servers = [
-            Server(
-                params=self.params,
-                config=config,
-                policy=policy,
-                max_batch=max_batch,
-                max_wait_s=max_wait_s,
-                lanes=lanes,
-                model=self._model,
-                overload=overload,
-                tracer=tracer,
-            )
-            for _ in range(self.groups)
-        ]
-        self.streams_per_lane = self.servers[0].streams_per_lane
-        self._submitted: List[Request] = []
-        self._last_report: Optional[FleetReport] = None
-
-    # -- admission ----------------------------------------------------------------
-
-    def submit(self, request: Request) -> Request:
-        self._submitted.append(request)
-        return request
-
-    def submit_many(self, requests: Iterable[Request]) -> int:
-        count = 0
-        for request in requests:
-            self.submit(request)
-            count += 1
-        return count
-
-    @property
-    def last_report(self) -> Optional[FleetReport]:
-        return self._last_report
+            model = base
+        super().__init__(
+            params=self.params,
+            config=config,
+            policy=policy,
+            max_batch=max_batch,
+            max_wait_s=max_wait_s,
+            lanes=lanes,
+            model=model,
+            overload=overload,
+            tracer=tracer,
+        )
 
     # -- routing ------------------------------------------------------------------
-
-    def _service_estimate(self, app: str, size: int) -> float:
-        """Single-request service estimate used for backlog routing."""
-        return self._model.service_time_s(app, size, self.streams_per_lane)
 
     def route(
         self, requests: Sequence[Request], placement: KeyPlacementPlan
@@ -751,18 +650,14 @@ class Fleet:
         est_free = [0.0] * self.groups
         assignment: Dict[int, List[Request]] = {g: [] for g in range(self.groups)}
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
-        estimates: Dict[Tuple[str, int], float] = {}
         for request in ordered:
             eligible = placement.devices_for(request.app)
             group = min(
                 eligible, key=lambda g: (max(est_free[g], request.arrival_s), g)
             )
-            key = (request.app, request.size)
-            est = estimates.get(key)
-            if est is None:
-                est = estimates[key] = self._service_estimate(
-                    request.app, request.size
-                )
+            est = self.model.service_time_s(
+                request.app, request.size, self.streams_per_lane
+            )
             est_free[group] = max(est_free[group], request.arrival_s) + (
                 est / self.lanes
             )
@@ -788,15 +683,12 @@ class Fleet:
             (r.arrival_s for r in self._submitted), default=0.0
         )
         windows = [0.0] * (int(horizon // policy.window_s) + 1)
-        estimates: Dict[Tuple[str, int], float] = {}
         for request in self._submitted:
-            key = (request.app, request.size)
-            est = estimates.get(key)
-            if est is None:
-                est = estimates[key] = self._service_estimate(
-                    request.app, request.size
+            windows[int(request.arrival_s // policy.window_s)] += (
+                self.model.service_time_s(
+                    request.app, request.size, self.streams_per_lane
                 )
-            windows[int(request.arrival_s // policy.window_s)] += est
+            )
         return plan_autoscale(
             windows,
             policy,
@@ -806,19 +698,29 @@ class Fleet:
 
     # -- simulation ---------------------------------------------------------------
 
-    def drain(self) -> FleetReport:
-        """Route and replay every submitted request; return the fleet report."""
-        apps = sorted({r.app for r in self._submitted}) or ["packbootstrap"]
+    def _simulate(
+        self, submitted: List[Request], cancels: Dict[int, float]
+    ) -> Tuple[FleetReport, List[RequestQueue]]:
+        """Route, drain every group without telemetry, merge the reports."""
+        apps = sorted({r.app for r in submitted}) or ["packbootstrap"]
         placement = plan_key_placement(
             apps, self.groups, self.params, self.placement_policy
         )
-        assignment = self.route(self._submitted, placement)
+        assignment = self.route(submitted, placement)
+        owner = {r.rid: g for g, routed in assignment.items() for r in routed}
         reports: List[ServingReport] = []
-        for group, server in enumerate(self.servers):
-            server.submit_many(assignment[group])
-            reports.append(server.drain())
+        queues: List[RequestQueue] = []
+        for group in range(self.groups):
+            # Every group runs this server's own scheduling loop over the
+            # requests routed to it; groups share the clock origin.
+            report, group_queues = super()._simulate(
+                assignment[group],
+                {rid: at for rid, at in cancels.items() if owner.get(rid) == group},
+            )
+            reports.append(report)
+            queues.extend(group_queues)
 
-        makespan = max((r.makespan_s for r in reports), default=0.0)
+        makespan = max(r.makespan_s for r in reports)
         devices: List[DeviceReport] = []
         hbm_bytes = self.device.memory_gib * 2**30
         for group, report in enumerate(reports):
@@ -845,16 +747,40 @@ class Fleet:
         if self._multi is not None:
             for report in reports:
                 for batch in report.batches:
-                    table = self._model.exchange_bytes_for(
+                    table = self.model.exchange_bytes_for(
                         batch.app, batch.executed_size
                     )
                     for name, size in table.items():
                         exchange[name] = exchange.get(name, 0.0) + size
+        admission: Dict[str, int] = {}
+        for report in reports:
+            for name, count in report.admission.items():
+                admission[name] = admission.get(name, 0) + count
 
         ingress = sum(
-            2 * r.size * ciphertext_bytes(self.params) for r in self._submitted
+            2 * r.size * ciphertext_bytes(self.params) for r in submitted
         )
         fleet_report = FleetReport(
+            records=sorted(
+                (r for report in reports for r in report.records),
+                key=lambda r: (r.finish_s, r.request.rid),
+            ),
+            batches=[b for report in reports for b in report.batches],
+            lanes=self.lanes,
+            streams_per_lane=self.streams_per_lane,
+            makespan_s=makespan,
+            mean_queue_depth=(
+                sum(r.mean_queue_depth for r in reports) / len(reports)
+            ),
+            max_queue_depth=max(r.max_queue_depth for r in reports),
+            shed=[q for report in reports for q in report.shed],
+            rejected=[q for report in reports for q in report.rejected],
+            cancelled=[q for report in reports for q in report.cancelled],
+            admission=admission,
+            queue_capacity=reports[-1].queue_capacity,
+            peak_pressure=max(r.peak_pressure for r in reports),
+            caches=reports[-1].caches,
+            tuned=reports[-1].tuned,
             gpus=self.gpus,
             tensor_parallel=self.tensor_parallel,
             interconnect=self.interconnect.name,
@@ -864,27 +790,14 @@ class Fleet:
             key_broadcast_bytes=placement.broadcast_bytes(),
             ingress_bytes=float(ingress),
         )
-        self._last_report = fleet_report
-        self._emit_telemetry(fleet_report)
-        return fleet_report
+        return fleet_report, queues
 
     # -- telemetry ----------------------------------------------------------------
 
-    def _emit_telemetry(self, report: FleetReport) -> None:
-        tracer = self.tracer if self.tracer is not None else active_tracer()
-        if tracer is not None:
-            self._record_spans(tracer, report)
-        registry = global_registry()
-        if registry.enabled:
-            self._record_metrics(registry, report)
-
     def _record_spans(self, tracer: Tracer, report: FleetReport) -> None:
-        """One ``fleet`` trace: the drain span plus one span per group.
-
-        Per-request spans are recorded by each device server's own drain
-        (same tracer), so the queue -> batch -> kernel path stays intact;
-        the fleet trace adds the routing/utilization overview on top.
-        """
+        """Every request's spans, plus one ``fleet`` trace: the drain span
+        and one span per group (the routing/utilization overview)."""
+        super()._record_spans(tracer, report)
         root = tracer.record_span(
             "fleet", "fleet_drain", 0.0, report.makespan_s,
             category="fleet", gpus=report.gpus,
@@ -901,8 +814,11 @@ class Fleet:
             )
 
     def _record_metrics(
-        self, registry: MetricsRegistry, report: FleetReport
+        self, registry: MetricsRegistry, report: FleetReport,
+        queues: List[RequestQueue],
     ) -> None:
+        """The ``serving_*`` families over the whole fleet, then ``fleet_*``."""
+        super()._record_metrics(registry, report, queues)
         served = registry.counter(
             "fleet_requests_total", "Requests served, by device group",
             labelnames=("gpu",),
@@ -935,22 +851,18 @@ class Fleet:
         for name, size in report.exchange_bytes_by_kernel.items():
             if size:
                 exchange.labels(kernel=name).inc(size)
-        registry.gauge(
-            "fleet_key_broadcast_bytes",
-            "One-time key-distribution interconnect bytes",
-        ).set(report.key_broadcast_bytes)
-        registry.gauge(
-            "fleet_ingress_bytes", "Host-link ciphertext ingress/egress bytes"
-        ).set(report.ingress_bytes)
-        registry.gauge(
-            "fleet_gpus", "Modeled GPUs in the fleet"
-        ).set(report.gpus)
-        registry.gauge(
-            "fleet_throughput_rps", "Fleet requests per simulated second"
-        ).set(report.throughput_rps)
-        registry.gauge(
-            "fleet_slo_attainment", "Fleet-wide SLO attainment"
-        ).set(report.slo_attainment)
-        registry.gauge(
-            "fleet_makespan_seconds", "Simulated makespan of the fleet drain"
-        ).set(report.makespan_s)
+        for name, help_text, value in (
+            ("fleet_key_broadcast_bytes",
+             "One-time key-distribution interconnect bytes",
+             report.key_broadcast_bytes),
+            ("fleet_ingress_bytes", "Host-link ciphertext ingress/egress bytes",
+             report.ingress_bytes),
+            ("fleet_gpus", "Modeled GPUs in the fleet", report.gpus),
+            ("fleet_throughput_rps", "Fleet requests per simulated second",
+             report.throughput_rps),
+            ("fleet_slo_attainment", "Fleet-wide SLO attainment",
+             report.slo_attainment),
+            ("fleet_makespan_seconds", "Simulated makespan of the fleet drain",
+             report.makespan_s),
+        ):
+            registry.gauge(name, help_text).set(value)

@@ -26,7 +26,7 @@ pressure is exposed as a backpressure signal for ingest front ends
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, NamedTuple, Optional
 
 from .queue import QueueFull, RequestQueue
@@ -90,13 +90,7 @@ class OverloadPolicy:
             )
 
     def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "queue_capacity": self.queue_capacity,
-            "shed_threshold": self.shed_threshold,
-            "shed_below_priority": self.shed_below_priority,
-            "tenant_quota": self.tenant_quota,
-            "evict_lower_priority": self.evict_lower_priority,
-        }
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, object]) -> "OverloadPolicy":

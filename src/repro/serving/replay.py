@@ -122,10 +122,21 @@ class TimelineSnapshot:
 
     @classmethod
     def loads(cls, text: str) -> "TimelineSnapshot":
+        """Parse a snapshot; any malformed content raises :class:`SnapshotError`."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise SnapshotError("empty snapshot")
-        header = json.loads(lines[0])
+        try:
+            return cls._parse([json.loads(line) for line in lines])
+        except SnapshotError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # json.JSONDecodeError is a ValueError: truncated lines land here.
+            raise SnapshotError(f"malformed snapshot: {exc!r}") from None
+
+    @classmethod
+    def _parse(cls, rows: List[Dict[str, object]]) -> "TimelineSnapshot":
+        header = rows[0]
         if header.get("kind") != SNAPSHOT_KIND:
             raise SnapshotError(
                 f"not a serving snapshot (header kind {header.get('kind')!r})"
@@ -136,8 +147,7 @@ class TimelineSnapshot:
             )
         snapshot = cls(server_config=dict(header["server"]))
         footer: Optional[Dict[str, object]] = None
-        for line in lines[1:]:
-            row = json.loads(line)
+        for row in rows[1:]:
             kind = row.get("kind")
             if kind == "request":
                 snapshot.requests.append(
@@ -170,21 +180,25 @@ class TimelineSnapshot:
     # -- replay -------------------------------------------------------------------
 
     def build_server(self, **overrides) -> Server:
-        """A fresh server with the captured constructor knobs."""
+        """A fresh server with the captured knobs (:class:`SnapshotError`
+        when they do not make a valid server)."""
         config = self.server_config
         overload = config.get("overload")
-        kwargs = {
-            "params": config.get("params", "C"),
-            "policy": config.get("policy", "fifo"),
-            "max_batch": int(config.get("max_batch", 64)),
-            "max_wait_s": float(config.get("max_wait_s", 30.0)),
-            "lanes": int(config.get("lanes", 2)),
-            "overload": (
-                OverloadPolicy.from_jsonable(overload) if overload else None
-            ),
-        }
-        kwargs.update(overrides)
-        return Server(**kwargs)
+        try:
+            kwargs = {
+                "params": config.get("params", "C"),
+                "policy": config.get("policy", "fifo"),
+                "max_batch": int(config.get("max_batch", 64)),
+                "max_wait_s": float(config.get("max_wait_s", 30.0)),
+                "lanes": int(config.get("lanes", 2)),
+                "overload": (
+                    OverloadPolicy.from_jsonable(overload) if overload else None
+                ),
+            }
+            kwargs.update(overrides)
+            return Server(**kwargs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"invalid server config: {exc}") from None
 
     def replay(self, **overrides) -> Tuple[Server, ServingReport]:
         """Rebuild the server, resubmit the traffic, drain."""

@@ -18,10 +18,9 @@ replays can assert bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.reporting import format_table
-from ..ckks.keyswitch import plan as ksplan
 from ..apps import get_application
 from ..core.neo_context import NeoContext
 from ..core.pipeline import NEO_CONFIG, PipelineConfig
@@ -99,6 +98,7 @@ class NeoServiceModel:
         self._tuned_roots: Dict[str, NeoContext] = {}
         self._tuned_choices: Dict[str, object] = {}
         self._apps: Dict[str, object] = {}
+        self._service_times: Dict[tuple, float] = {}
         self._span_cache = _SPAN_DESCRIPTOR_CACHE
 
     def _app(self, app: str):
@@ -138,11 +138,26 @@ class NeoServiceModel:
             app: choice.label() for app, choice in self._tuned_choices.items()
         }
 
-    def service_time_s(self, app: str, size: int, streams: int) -> float:
-        """Wall time of one `app` batch of `size` ciphertexts on `streams`."""
+    def _batch(self, app: str, size: int) -> tuple:
+        """The batch-derated context and execution trace of one batch shape."""
         ctx = self._root_for(app).with_batch(size)
-        trace = ctx.application_trace(self._app(app))
-        return trace.overlapped_time_s(ctx.device, streams)
+        return ctx, ctx.application_trace(self._app(app))
+
+    def service_time_s(self, app: str, size: int, streams: int) -> float:
+        """Wall time of one `app` batch of `size` ciphertexts on `streams`.
+
+        A pure function of its arguments for this model's lifetime, so it
+        is memoized here: every dispatch and routing estimate of a seen
+        shape is one dict lookup.
+        """
+        key = (app, size, streams)
+        seconds = self._service_times.get(key)
+        if seconds is None:
+            ctx, trace = self._batch(app, size)
+            seconds = self._service_times[key] = trace.overlapped_time_s(
+                ctx.device, streams
+            )
+        return seconds
 
     def batch_trace(self, app: str, size: int):
         """Frozen execution trace of one `app` batch of `size` ciphertexts.
@@ -151,8 +166,7 @@ class NeoServiceModel:
         comes out of the shared cache, so multi-device timing never
         rebuilds a shape the single-device path already priced.
         """
-        ctx = self._root_for(app).with_batch(size)
-        return ctx.application_trace(self._app(app)).frozen()
+        return self._batch(app, size)[1].frozen()
 
     def batch_device(self, size: int):
         """The batch-derated device a batch of `size` executes on."""
@@ -176,10 +190,9 @@ class NeoServiceModel:
         key = (root.params, root.config, app, size, streams, limit)
         cached = self._span_cache.get(key)
         if cached is None:
-            ctx = root.with_batch(size)
-            trace = ctx.application_trace(self._app(app))
+            ctx, trace = self._batch(app, size)
             result = StreamScheduler(ctx.device, streams).run(trace)
-            service = trace.overlapped_time_s(ctx.device, streams)
+            service = self.service_time_s(app, size, streams)
             scale = service / result.makespan_s if result.makespan_s > 0 else 1.0
             descriptors = tuple(
                 (k.name, k.resource, k.stream, k.start_s * scale, k.end_s * scale)
@@ -235,14 +248,10 @@ class ServingReport:
     queue_capacity: Optional[int] = None
     #: Peak queue fill fraction in [0, 1] (0.0 for unbounded queues).
     peak_pressure: float = 0.0
-    cache: CacheStats = field(default_factory=CacheStats)
-    #: Key-switch / rotation op-plan cache counters (hits, misses,
-    #: evictions, hit_rate) snapshotted at drain time -- shows how much
-    #: GEMM-plan compilation the serving run amortised.
-    op_plans: Dict[str, float] = field(default_factory=dict)
-    #: Every registered cache surface (trace cache, NTT plan/stack caches,
-    #: op-plan cache, ...) as ``{name: {hits, misses, evictions, hit_rate}}``
-    #: -- the unified view :mod:`repro.telemetry.stats` keeps per process.
+    #: Every registered cache surface (the model's ``trace_cache``, NTT
+    #: plan/stack caches, the key-switch ``op_plans`` cache, ...) as
+    #: ``{name: {hits, misses, evictions, hit_rate}}`` snapshotted at drain
+    #: time -- the unified view :mod:`repro.telemetry.stats` keeps per process.
     caches: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Per-app tuned configuration labels the service model chose (empty
     #: unless the server was built with ``autotune=True``).
@@ -470,19 +479,6 @@ class ServingReport:
                     title="dynamic batch sizes",
                 )
             )
-        lines.append("")
-        lines.append(
-            "trace cache: "
-            f"{self.cache.hits} hits / {self.cache.misses} misses "
-            f"({100 * self.cache.hit_rate:.1f}% hit rate)"
-        )
-        if self.op_plans:
-            lines.append(
-                "op-plan cache: "
-                f"{int(self.op_plans.get('hits', 0))} hits / "
-                f"{int(self.op_plans.get('misses', 0))} misses "
-                f"({100 * self.op_plans.get('hit_rate', 0.0):.1f}% hit rate)"
-            )
         if self.caches:
             rows = [
                 [
@@ -512,16 +508,6 @@ class ServingReport:
                 )
             )
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ServerStats:
-    """Point-in-time server counters (live between submit and drain)."""
-
-    submitted: int
-    served: int
-    pending: int
-    batches: int
 
 
 class Server:
@@ -636,15 +622,6 @@ class Server:
         current = self._cancels.get(rid)
         self._cancels[rid] = at_s if current is None else min(current, at_s)
 
-    def stats(self) -> ServerStats:
-        report = self._last_report
-        return ServerStats(
-            submitted=len(self._submitted),
-            served=report.served if report else 0,
-            pending=len(self._submitted) - (report.served if report else 0),
-            batches=len(report.batches) if report else 0,
-        )
-
     @property
     def last_report(self) -> Optional[ServingReport]:
         return self._last_report
@@ -654,6 +631,19 @@ class Server:
     def drain(self) -> ServingReport:
         """Replay every submitted request to completion; return the report.
 
+        Spans and metrics are emitted once, over the whole report.
+        """
+        report, queues = self._simulate(self._submitted, self._cancels)
+        self._last_report = report
+        self._emit_telemetry(report, queues)
+        return report
+
+    def _simulate(
+        self, submitted: List[Request], cancels: Dict[int, float]
+    ) -> Tuple[ServingReport, List[RequestQueue]]:
+        """Drain `submitted` under `cancels` (rid -> time) without telemetry;
+        return the report and its queues.
+
         The loop advances the simulated clock to the next decision point
         (an arrival, a lane becoming free, a batching window expiring, or
         a scheduled cancellation), admits due arrivals through the
@@ -662,7 +652,7 @@ class Server:
         randomness anywhere: the schedule is a pure function of the
         submitted trace plus any scheduled cancels.
         """
-        arrivals = sorted(self._submitted, key=lambda r: (r.arrival_s, r.rid))
+        arrivals = sorted(submitted, key=lambda r: (r.arrival_s, r.rid))
         capacity = self.overload.queue_capacity if self.overload else None
         controller = (
             AdmissionController(self.overload) if self.overload else None
@@ -678,15 +668,13 @@ class Server:
         now = 0.0
         next_bid = 0
 
-        cancel_events = sorted(
-            (at_s, rid) for rid, at_s in self._cancels.items()
-        )
+        cancel_events = sorted((at_s, rid) for rid, at_s in cancels.items())
         cindex = 0
         infinity = float("inf")
 
         def admit(request: Request) -> None:
             """Route one due arrival: cancel-before-arrival, then policy."""
-            cancel_at = self._cancels.get(request.rid)
+            cancel_at = cancels.get(request.rid)
             if cancel_at is not None and cancel_at <= request.arrival_s:
                 # Cancelled before it ever reached the queue; the later
                 # cancel event pops nothing and is a no-op.
@@ -703,6 +691,15 @@ class Server:
             elif decision.victim is not None:
                 shed.append(decision.victim)
 
+        def next_events() -> Tuple[float, float]:
+            """Times of the next pending arrival and the next cancel."""
+            return (
+                arrivals[index].arrival_s if index < total else infinity,
+                cancel_events[cindex][0]
+                if cindex < len(cancel_events)
+                else infinity,
+            )
+
         def advance_events(current: float) -> None:
             """Apply due arrivals and cancels interleaved in event order.
 
@@ -713,14 +710,7 @@ class Server:
             """
             nonlocal index, cindex
             while True:
-                arrival_t = (
-                    arrivals[index].arrival_s if index < total else infinity
-                )
-                cancel_t = (
-                    cancel_events[cindex][0]
-                    if cindex < len(cancel_events)
-                    else infinity
-                )
+                arrival_t, cancel_t = next_events()
                 if arrival_t <= current and arrival_t <= cancel_t:
                     admit(arrivals[index])
                     index += 1
@@ -755,15 +745,7 @@ class Server:
                 # The head batch is still filling: sleep until its window
                 # expires, the next arrival tops it up, or a cancellation
                 # changes the queue's composition.
-                next_arrival = (
-                    arrivals[index].arrival_s if index < total else infinity
-                )
-                next_cancel = (
-                    cancel_events[cindex][0]
-                    if cindex < len(cancel_events)
-                    else infinity
-                )
-                now = min(window_deadline, next_arrival, next_cancel)
+                now = min(window_deadline, *next_events())
                 continue
 
             total_size = sum(r.size for r in take)
@@ -833,8 +815,6 @@ class Server:
             admission=controller.ledger.as_dict() if controller else {},
             queue_capacity=queue.capacity,
             peak_pressure=controller.peak_pressure if controller else 0.0,
-            cache=self.model.cache_stats(),
-            op_plans=ksplan.keyswitch_plan_cache_stats(),
             caches=caches,
             tuned=(
                 self.model.tuned_summary()
@@ -842,20 +822,20 @@ class Server:
                 else {}
             ),
         )
-        self._last_report = report
-        self._emit_telemetry(report, queue)
-        return report
+        return report, [queue]
 
     # -- telemetry ----------------------------------------------------------------
 
-    def _emit_telemetry(self, report: ServingReport, queue: RequestQueue) -> None:
+    def _emit_telemetry(
+        self, report: ServingReport, queues: List[RequestQueue]
+    ) -> None:
         """Spans and metrics for one drain; no-ops unless enabled/active."""
         tracer = self.tracer if self.tracer is not None else active_tracer()
         if tracer is not None:
             self._record_spans(tracer, report)
         registry = global_registry()
         if registry.enabled:
-            self._record_metrics(registry, report, queue)
+            self._record_metrics(registry, report, queues)
 
     def _record_spans(self, tracer: Tracer, report: ServingReport) -> None:
         """One trace per request plus one kernel trace per batch *shape*.
@@ -923,7 +903,7 @@ class Server:
 
     def _record_metrics(
         self, registry: MetricsRegistry, report: ServingReport,
-        queue: RequestQueue,
+        queues: List[RequestQueue],
     ) -> None:
         requests_total = registry.counter(
             "serving_requests_total", "Requests served, by application",
@@ -975,41 +955,32 @@ class Server:
             "serving_queue_depth", "Queue depth at every queue mutation",
             buckets=QUEUE_DEPTH_BUCKETS,
         )
-        depth_hist.observe_many([depth for _, depth in queue.depth_samples()])
-        registry.gauge(
-            "serving_queue_depth_peak", "Peak admission-queue depth",
-        ).set(report.max_queue_depth)
-        registry.gauge(
-            "serving_queue_depth_mean", "Time-weighted mean queue depth",
-        ).set(report.mean_queue_depth)
-        registry.gauge(
-            "serving_makespan_seconds", "Simulated makespan of the last drain",
-        ).set(report.makespan_s)
-        registry.gauge(
-            "serving_slo_attainment", "Fraction of requests meeting their SLO",
-        ).set(report.slo_attainment)
+        depth_hist.observe_many(
+            [depth for queue in queues for _, depth in queue.depth_samples()]
+        )
+        for name, help_text, value in (
+            ("serving_queue_depth_peak", "Peak admission-queue depth",
+             report.max_queue_depth),
+            ("serving_queue_depth_mean", "Time-weighted mean queue depth",
+             report.mean_queue_depth),
+            ("serving_makespan_seconds", "Simulated makespan of the last drain",
+             report.makespan_s),
+            ("serving_slo_attainment", "Fraction of requests meeting their SLO",
+             report.slo_attainment),
+        ):
+            registry.gauge(name, help_text).set(value)
 
         if self.overload is not None or report.offered != report.served:
-            shed_total = registry.counter(
-                "serving_requests_shed_total",
-                "Requests shed by overload policy, by service tier",
-                labelnames=("tier",),
-            )
-            rejected_total = registry.counter(
-                "serving_requests_rejected_total",
-                "Requests rejected (queue full / tenant quota), by tier",
-                labelnames=("tier",),
-            )
-            cancelled_total = registry.counter(
-                "serving_requests_cancelled_total",
-                "Requests cancelled while queued, by service tier",
-                labelnames=("tier",),
-            )
-            for bucket, counter in (
-                (report.shed, shed_total),
-                (report.rejected, rejected_total),
-                (report.cancelled, cancelled_total),
+            for bucket, name, help_text in (
+                (report.shed, "shed", "Requests shed by overload policy"),
+                (report.rejected, "rejected",
+                 "Requests rejected (queue full / tenant quota)"),
+                (report.cancelled, "cancelled", "Requests cancelled while queued"),
             ):
+                counter = registry.counter(
+                    f"serving_requests_{name}_total", f"{help_text}, by service tier",
+                    labelnames=("tier",),
+                )
                 by_tier: Dict[str, int] = {}
                 for request in bucket:
                     by_tier[request.tier] = by_tier.get(request.tier, 0) + 1
@@ -1020,21 +991,16 @@ class Server:
                 "Peak admission-queue fill fraction in [0, 1]",
             ).set(report.peak_pressure)
 
-        hits = registry.gauge(
-            "cache_hits", "Cache hits, per cache surface", labelnames=("cache",)
-        )
-        misses = registry.gauge(
-            "cache_misses", "Cache misses, per cache surface",
-            labelnames=("cache",),
-        )
-        hit_rate = registry.gauge(
-            "cache_hit_rate", "Hit rate in [0, 1], per cache surface",
-            labelnames=("cache",),
-        )
-        for name, stats in report.caches.items():
-            hits.labels(cache=name).set(stats.get("hits", 0))
-            misses.labels(cache=name).set(stats.get("misses", 0))
-            hit_rate.labels(cache=name).set(stats.get("hit_rate", 0.0))
+        for stat, help_text in (
+            ("hits", "Cache hits"), ("misses", "Cache misses"),
+            ("hit_rate", "Hit rate in [0, 1]"),
+        ):
+            gauge = registry.gauge(
+                f"cache_{stat}", f"{help_text}, per cache surface",
+                labelnames=("cache",),
+            )
+            for name, stats in report.caches.items():
+                gauge.labels(cache=name).set(stats.get(stat, 0))
 
         noise_fn = getattr(self.model, "noise_trajectory", None)
         if noise_fn is not None:

@@ -95,7 +95,6 @@ class TestBackpressure:
 
         front = asyncio.run(scenario())
         assert front.accepted == 2
-        assert front.server.stats().submitted == 2
 
     def test_await_submit_blocks_until_pump_frees_a_slot(self):
         async def scenario():
@@ -152,7 +151,7 @@ class TestLiveMode:
             return front
 
         front = asyncio.run(scenario())
-        assert front.server.stats().submitted == 1
+        assert front.accepted == 1
 
     def test_invalid_request_surfaces_to_submitter(self):
         async def scenario():

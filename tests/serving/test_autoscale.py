@@ -124,14 +124,13 @@ class TestFleetIntegration:
         fleet = Fleet(
             gpus=2, overload=OverloadPolicy(queue_capacity=4)
         )
-        assert all(
-            s.overload.queue_capacity == 4 for s in fleet.servers
-        )
         for i in range(60):
             fleet.submit(
                 Request(rid=i, app="packbootstrap", arrival_s=0.0, priority=0)
             )
         report = fleet.drain()
+        assert report.queue_capacity == 4
+        assert all(d.report.queue_capacity == 4 for d in report.devices)
         assert report.offered == 60
         assert report.shed_count + report.rejected_count > 0
         assert (

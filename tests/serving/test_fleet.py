@@ -1,5 +1,8 @@
 """Fleet scheduler: key placement, routing invariants, determinism, export."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.ckks.params import get_set
@@ -7,6 +10,7 @@ from repro.gpu.multi_gpu import EXCHANGE_KERNELS
 from repro.serving import (
     Fleet,
     KeyPlacementPlan,
+    OverloadPolicy,
     Request,
     app_key_bytes,
     parse_workload_spec,
@@ -17,6 +21,29 @@ from repro.telemetry.registry import global_registry
 from repro.telemetry.tracing import Tracer
 
 PARAMS = get_set("C")
+
+FINGERPRINTS = (
+    Path(__file__).resolve().parent.parent / "fixtures" / "fleet_fingerprints.json"
+)
+
+#: Pinned fleet drains: (fixture key, workload preset, Fleet kwargs).  All
+#: use trace seed 0 and the default Fleet knobs unless listed.
+PINNED_FLEETS = [
+    ("overload-seed0-gpus1", "overload", dict(gpus=1)),
+    ("overload-seed0-gpus2", "overload", dict(gpus=2)),
+    ("overload-seed0-gpus4", "overload", dict(gpus=4)),
+    ("overload-seed0-gpus8", "overload", dict(gpus=8)),
+    ("overload-seed0-gpus4-tp2", "overload", dict(gpus=4, tensor_parallel=2)),
+    ("overload-seed0-gpus4-shard", "overload", dict(gpus=4, placement="shard")),
+    (
+        "overload10x-seed0-gpus3-shard-cap200",
+        "overload10x",
+        dict(
+            gpus=3, placement="shard",
+            overload=OverloadPolicy(queue_capacity=200),
+        ),
+    ),
+]
 
 
 def smoke_requests(seed=0):
@@ -265,3 +292,116 @@ class TestTelemetryExport:
         assert children == {"gpu-0", "gpu-1"}
         # Per-request traces still come from the device servers.
         assert "req-0" in tracer.trace_ids()
+
+
+class TestPinnedFingerprints:
+    """Fleet replay fingerprints frozen in ``tests/fixtures`` (regenerate
+    with ``pytest --update-golden``)."""
+
+    @pytest.mark.parametrize(
+        "key,preset,kwargs", PINNED_FLEETS, ids=[c[0] for c in PINNED_FLEETS]
+    )
+    def test_fingerprint_matches_fixture(self, key, preset, kwargs, update_golden):
+        fleet = Fleet(**kwargs)
+        fleet.submit_many(
+            synthesize_arrivals(parse_workload_spec(preset), seed=0)
+        )
+        fingerprint = fleet.drain().fingerprint()
+        pinned = (
+            json.loads(FINGERPRINTS.read_text()) if FINGERPRINTS.exists() else {}
+        )
+        if update_golden:
+            pinned[key] = fingerprint
+            FINGERPRINTS.parent.mkdir(parents=True, exist_ok=True)
+            FINGERPRINTS.write_text(json.dumps(pinned, sort_keys=True, indent=2) + "\n")
+            pytest.skip(f"regenerated {key} in {FINGERPRINTS.name}")
+        assert key in pinned, (
+            f"{key} missing from {FINGERPRINTS.name}; run pytest --update-golden"
+        )
+        assert fingerprint == pinned[key], (
+            f"fleet fingerprint {key} drifted; inspect the change and run "
+            "pytest --update-golden if it is intended"
+        )
+
+
+class TestFleetOverloadReport:
+    """A fleet drain reports and exports fleet-wide figures, not the last
+    group's: gauges, overload outcomes and the per-tier table."""
+
+    @pytest.fixture(scope="class")
+    def drained(self):
+        registry = global_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        registry.reset()
+        fleet = Fleet(
+            gpus=3, placement="shard",
+            overload=OverloadPolicy(queue_capacity=200),
+        )
+        fleet.submit_many(
+            synthesize_arrivals(parse_workload_spec("overload10x"), seed=0)
+        )
+        report = fleet.drain()
+        snapshot = registry.snapshot()
+        registry.reset()
+        if not was_enabled:
+            registry.disable()
+        return report, snapshot
+
+    @staticmethod
+    def _gauge(snapshot, name):
+        (series,) = snapshot[name]["series"]
+        return series["value"]
+
+    def test_serving_gauges_cover_the_whole_fleet(self, drained):
+        report, snapshot = drained
+        assert report.makespan_s > 0
+        assert self._gauge(snapshot, "serving_makespan_seconds") == (
+            report.makespan_s
+        )
+        peaks = [d.report.max_queue_depth for d in report.devices]
+        assert max(peaks) == 200
+        assert self._gauge(snapshot, "serving_queue_depth_peak") == 200
+
+    def test_serving_counters_count_every_group_once(self, drained):
+        report, snapshot = drained
+        served = sum(
+            s["value"] for s in snapshot["serving_requests_total"]["series"]
+        )
+        shed = sum(
+            s["value"] for s in snapshot["serving_requests_shed_total"]["series"]
+        )
+        assert served == report.served
+        assert shed == report.shed_count > 0
+
+    def test_format_shows_overload_outcomes(self, drained):
+        report, _ = drained
+        text = report.format()
+        assert (
+            f"overload   : {report.shed_count} shed, "
+            f"{report.rejected_count} rejected"
+        ) in text
+        assert "per-tier outcomes" in text
+
+    def test_per_tier_sums_to_offered(self, drained):
+        report, _ = drained
+        assert report.offered == 9000
+        total = sum(
+            entry["served"] + entry["shed"] + entry["rejected"]
+            + entry["cancelled"]
+            for entry in report.per_tier().values()
+        )
+        assert total == report.offered
+
+
+class TestFleetCancel:
+    def test_cancel_follows_the_request_to_its_group(self):
+        requests = smoke_requests()
+        fleet = Fleet(gpus=2, max_wait_s=5.0)
+        fleet.submit_many(requests)
+        first = min(requests, key=lambda r: (r.arrival_s, r.rid))
+        fleet.cancel(first.rid, at_s=first.arrival_s)
+        report = fleet.drain()
+        assert [r.rid for r in report.cancelled] == [first.rid]
+        assert report.served == len(requests) - 1
+        assert report.offered == len(requests)

@@ -14,6 +14,7 @@ A drift in the scheduler, the admission controller, or the service model
 shows up here as a fingerprint mismatch before it ships.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,36 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "overload_timeli
 FIXTURE_SEED = 7
 
 FLAT = FixedServiceModel(lambda app, size: 10.0)
+
+
+def _edit_line(text, index, edit):
+    lines = text.splitlines()
+    lines[index] = edit(lines[index])
+    return "\n".join(lines) + "\n"
+
+
+def _without_rid(line):
+    row = json.loads(line)
+    del row["rid"]
+    return json.dumps(row)
+
+
+def _zero_lanes(line):
+    header = json.loads(line)
+    header["server"]["lanes"] = 0
+    return json.dumps(header)
+
+
+#: Malformed snapshot payloads, as edits of a valid snapshot's text: a
+#: request row without its rid, a truncated JSON line, and a header whose
+#: server config cannot build a server.
+MALFORMED_SNAPSHOTS = {
+    "request-without-rid": lambda text: _edit_line(text, 1, _without_rid),
+    "truncated-line": lambda text: _edit_line(
+        text, 1, lambda line: line[: len(line) // 2]
+    ),
+    "zero-lanes": lambda text: _edit_line(text, 0, _zero_lanes),
+}
 
 
 def _fast_server(**kwargs):
@@ -128,6 +159,13 @@ class TestReplayFidelity:
         del lines[1]  # drop a request; the footer count now lies
         with pytest.raises(SnapshotError, match="footer claims"):
             TimelineSnapshot.loads("\n".join(lines))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_raises_snapshot_error(case):
+    text = TimelineSnapshot.capture(_submit_traffic(_fast_server())).dumps()
+    with pytest.raises(SnapshotError):
+        TimelineSnapshot.loads(MALFORMED_SNAPSHOTS[case](text)).build_server()
 
 
 class TestGoldenFixture:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core.trace_cache import TraceCache
 from repro.serving import (
     FixedServiceModel,
     Request,
@@ -35,7 +36,6 @@ class TestAdmission:
         first = server.submit(app="helr")
         second = server.submit(app="helr")
         assert (first.rid, second.rid) == (0, 1)
-        assert server.stats().submitted == 2
 
     def test_submit_requires_app_or_request(self):
         with pytest.raises(ValueError, match="needs a Request or an app"):
@@ -45,14 +45,12 @@ class TestAdmission:
         with pytest.raises(ValueError, match="at least one lane"):
             _server(lanes=0)
 
-    def test_stats_update_after_drain(self):
+    def test_last_report_after_drain(self):
         server = _server()
         server.submit_many(Request(rid=i, app="helr") for i in range(3))
-        assert server.stats().served == 0
+        assert server.last_report is None
         report = server.drain()
-        stats = server.stats()
-        assert stats.served == 3 and stats.pending == 0
-        assert stats.batches == len(report.batches)
+        assert report.served == 3
         assert server.last_report is report
 
 
@@ -200,20 +198,27 @@ class TestReport:
 class TestRealModel:
     def test_smoke_workload_on_the_neo_model(self):
         """Full stack: smoke workload on the analytic A100, shared cache."""
-        server = Server(
-            params="C", policy="bucketed", max_batch=16, max_wait_s=20.0, lanes=2
-        )
-        server.submit_many(
-            synthesize_arrivals(parse_workload_spec("smoke"), seed=0)
-        )
-        report = server.drain()
+        cache = TraceCache()
+        requests = synthesize_arrivals(parse_workload_spec("smoke"), seed=0)
+
+        def drain():
+            server = Server(
+                params="C", policy="bucketed", max_batch=16, max_wait_s=20.0,
+                lanes=2, trace_cache=cache,
+            )
+            server.submit_many(requests)
+            return server.drain()
+
+        report = drain()
         assert report.served == 20
         assert report.throughput_rps > 0.0
         assert all(r.finish_s > r.start_s >= r.request.arrival_s for r in report.records)
-        # Replaying the same trace reuses every batch shape from the cache
-        # and reproduces the schedule bit for bit.
-        replay = server.drain()
-        assert replay.cache.hits > report.cache.hits, (
+        # A fresh server on the same trace cache reuses every batch shape
+        # (hits, no new misses) and reproduces the schedule bit for bit.
+        replay = drain()
+        before, after = report.caches["trace_cache"], replay.caches["trace_cache"]
+        assert after["hits"] > before["hits"], (
             "replayed batch shapes must hit the shared trace cache"
         )
+        assert after["misses"] == before["misses"]
         assert replay.fingerprint() == report.fingerprint()

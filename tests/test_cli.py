@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.serving.test_replay import MALFORMED_SNAPSHOTS
 
 
 def test_params_all(capsys):
@@ -426,6 +427,17 @@ class TestServeOverloadCommand:
         path.write_text(tampered)
         assert main(["replay", str(path)]) == 1
         assert "fingerprint mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+    def test_replay_malformed_snapshot_exits_2(self, capsys, tmp_path, case):
+        path = tmp_path / "timeline.jsonl"
+        assert main(self.SMOKE + ["--snapshot", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(MALFORMED_SNAPSHOTS[case](path.read_text()))
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load snapshot")
+        assert len(err.strip().splitlines()) == 1
 
     def test_wall_clock_rejects_fleet(self, capsys):
         assert main(self.SMOKE + ["--gpus", "2", "--wall-clock"]) == 2
