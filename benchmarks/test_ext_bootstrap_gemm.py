@@ -15,21 +15,14 @@ gate measures.  Both pipelines share ONE key set (key generation is
 randomized; separate keys would break bit identity).
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.ckks import (
-    CkksEncoder,
-    CkksParameters,
-    Encryptor,
-    Evaluator,
-    KeyGenerator,
+from repro.telemetry.bench_history import (
+    best_of,
+    bootstrap_workload,
+    plan_cache_summary,
 )
-from repro.ckks.bootstrap import Bootstrapper
-from repro.ckks.keys import conjugation_galois_power
-from repro.ckks.keyswitch import plan as ksplan
 
 DEGREE = 32
 MAX_LEVEL = 12
@@ -40,42 +33,12 @@ SPEEDUP_FLOOR = 3.0
 
 @pytest.fixture(scope="module")
 def workload():
-    params = CkksParameters(
-        degree=DEGREE,
-        max_level=MAX_LEVEL,
-        wordsize=WORDSIZE,
-        dnum=DNUM,
-        first_prime_bits=27,
+    # seed 5: keys from 5, encryptor from 6, data from 7
+    params, encoder, boot_plan, boot_loop, ct = bootstrap_workload(
+        DEGREE, DNUM, seed=5
     )
-    gen = KeyGenerator(params, seed=5)
-    sk = gen.secret_key(hamming_weight=1)
-    encoder = CkksEncoder(params)
-    encryptor = Encryptor(params, public_key=gen.public_key(sk), seed=6)
-    relin = gen.relinearisation_key(sk)
-    ev_plan = Evaluator(params, relin_key=relin, method="hybrid")
-    ev_loop = Evaluator(params, relin_key=relin, method="hybrid-loop")
-    boot_plan = Bootstrapper(params, encoder, ev_plan)
-    boot_loop = Bootstrapper(params, encoder, ev_loop)
-    galois = gen.rotation_keys(sk, boot_plan.required_rotations())
-    conj = conjugation_galois_power(params.degree)
-    galois.add(conj, gen.galois_key(sk, conj))
-    ev_plan.galois_keys = galois
-    ev_loop.galois_keys = galois
-
-    rng = np.random.default_rng(7)
-    v = np.clip(0.3 * rng.normal(size=params.slots), -0.8, 0.8)
-    ct = encryptor.encrypt(encoder.encode(v, level=0))
-    ksplan.clear_keyswitch_plan_cache()
+    assert (params.max_level, params.wordsize) == (MAX_LEVEL, WORDSIZE)
     return params, encoder, boot_plan, boot_loop, ct
-
-
-def _best_time(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _assert_identical(a, b):
@@ -116,15 +79,13 @@ def test_plan_bootstrap_speedup_at_least_3x(workload):
     _, _, boot_plan, boot_loop, ct = workload
     boot_plan.bootstrap(ct)  # warm plans, diagonal + constant caches
     boot_loop.bootstrap(ct)
-    t_plan = _best_time(lambda: boot_plan.bootstrap(ct), repeats=3)
-    t_loop = _best_time(lambda: boot_loop.bootstrap(ct), repeats=3)
-    stats = ksplan.keyswitch_plan_cache_stats()
+    t_plan = best_of(lambda: boot_plan.bootstrap(ct), repeats=3)
+    t_loop = best_of(lambda: boot_loop.bootstrap(ct), repeats=3)
     speedup = t_loop / t_plan
     print(
         f"\nBootstrap N=2^5 dnum={DNUM} L={MAX_LEVEL}: "
         f"loop {t_loop * 1e3:.1f} ms, plan {t_plan * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x "
-        f"(plan cache: {stats['hits']} hits / {stats['misses']} misses)"
+        f"speedup {speedup:.2f}x ({plan_cache_summary()})"
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"op-plan bootstrap speedup only {speedup:.2f}x "

@@ -15,15 +15,15 @@ loop form (:func:`klss.keyswitch_loop`) while producing bit-identical
 limbs (measured ~3.7x on the reference machine).
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.ckks.keys import KeyGenerator
 from repro.ckks.keyswitch import hybrid, klss
-from repro.ckks.keyswitch import plan as ksplan
-from repro.ckks.params import CkksParameters, KlssConfig
+from repro.telemetry.bench_history import (
+    best_of,
+    keyswitch_workload,
+    plan_cache_summary,
+)
 
 LOG_DEGREE = 14
 DEGREE = 1 << LOG_DEGREE
@@ -34,33 +34,9 @@ SPEEDUP_FLOOR = 3.0
 
 @pytest.fixture(scope="module")
 def workload():
-    params = CkksParameters(
-        degree=DEGREE,
-        max_level=2 * DNUM - 1,
-        wordsize=WORDSIZE,
-        dnum=DNUM,
-        klss=KlssConfig(wordsize_t=30, alpha_tilde=2),
-    )
-    gen = KeyGenerator(params, seed=0)
-    secret = gen.secret_key()
-    ksk = gen.relinearisation_key(secret)
-    rng = np.random.default_rng(0)
-    basis = params.q_basis(params.max_level)
-    limbs = [rng.integers(0, q, size=DEGREE, dtype=np.uint64) for q in basis.moduli]
-    from repro.math.polynomial import RnsPolynomial
-
-    poly = RnsPolynomial(DEGREE, basis, limbs, is_ntt=False)
-    ksplan.clear_keyswitch_plan_cache()
+    params, ksk, poly = keyswitch_workload(DEGREE, DNUM, seed=0)
+    assert params.wordsize == WORDSIZE
     return params, ksk, poly
-
-
-def _best_time(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _assert_identical(pair_a, pair_b):
@@ -90,15 +66,13 @@ def test_klss_gemm_speedup_at_least_3x(workload):
     params, ksk, poly = workload
     klss.keyswitch(poly, ksk, params)  # warm plan + NTT caches
     klss.keyswitch_loop(poly, ksk, params)
-    t_gemm = _best_time(lambda: klss.keyswitch(poly, ksk, params), repeats=3)
-    t_loop = _best_time(lambda: klss.keyswitch_loop(poly, ksk, params), repeats=3)
-    stats = ksplan.keyswitch_plan_cache_stats()
+    t_gemm = best_of(lambda: klss.keyswitch(poly, ksk, params), repeats=3)
+    t_loop = best_of(lambda: klss.keyswitch_loop(poly, ksk, params), repeats=3)
     speedup = t_loop / t_gemm
     print(
         f"\nKLSS N=2^{LOG_DEGREE} dnum={DNUM} w={WORDSIZE}: "
         f"loop {t_loop * 1e3:.1f} ms, gemm {t_gemm * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x "
-        f"(plan cache: {stats['hits']} hits / {stats['misses']} misses)"
+        f"speedup {speedup:.2f}x ({plan_cache_summary()})"
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"GEMM key switch speedup only {speedup:.2f}x "

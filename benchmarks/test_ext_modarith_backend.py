@@ -11,8 +11,6 @@ an NTT round-trip at ``N = 2**12``, the native backend must be at least
 residues (measured 20-30x on the reference machine).
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from repro.math import modarith
 from repro.math import ntt as ntt_mod
 from repro.math.polynomial import negacyclic_multiply
 from repro.math.primes import ntt_primes
+from repro.telemetry.bench_history import best_of
 
 DEGREE = 1 << 12
 Q = ntt_primes(60, DEGREE, 1)[0]
@@ -32,15 +31,6 @@ def _workload(a, b):
     plan = ntt_mod.get_plan(DEGREE, Q)
     round_trip = plan.inverse(plan.forward(product.copy()))
     return product, round_trip
-
-
-def _best_time(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +62,11 @@ def test_native_matches_object_oracle_bit_for_bit(operands):
 def test_native_backend_speedup_at_least_10x(operands):
     a, b = operands
     _workload(a, b)  # warm the native plan cache
-    t_native = _best_time(lambda: _workload(a, b), repeats=5)
+    t_native = best_of(lambda: _workload(a, b), repeats=5)
     obj_a, obj_b = a.astype(object), b.astype(object)
     with modarith.object_backend():
         _workload(obj_a, obj_b)  # warm the object plan cache
-        t_object = _best_time(lambda: _workload(obj_a, obj_b), repeats=2)
+        t_object = best_of(lambda: _workload(obj_a, obj_b), repeats=2)
     speedup = t_object / t_native
     print(
         f"\n60-bit N=2^12: object {t_object * 1e3:.1f} ms, "

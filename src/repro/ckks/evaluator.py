@@ -7,6 +7,7 @@ ablation (Fig. 14, first step) turns.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Optional, Tuple
 
@@ -110,7 +111,8 @@ class Evaluator:
         ct1 = self.mod_switch_to_level(ct1, level)
         if abs(ct0.scale - ct1.scale) > _SCALE_RTOL * max(ct0.scale, ct1.scale):
             raise ValueError(
-                f"scale mismatch: 2^{ct0.scale:.3e} vs 2^{ct1.scale:.3e}; rescale first"
+                f"scale mismatch: 2^{math.log2(ct0.scale):.2f} vs "
+                f"2^{math.log2(ct1.scale):.2f}; rescale first"
             )
         return ct0, ct1
 

@@ -15,6 +15,12 @@ Usage::
     python -m repro bench bootstrap     # loop vs op-plan bootstrap timings
     python -m repro bench fleet         # fleet scaling vs one device
     python -m repro bench keyswitch --record   # append to BENCH_keyswitch.json
+
+``bench`` looks its name up in the bench registry
+(:data:`repro.telemetry.bench_history.BENCHES`: keyswitch, bootstrap,
+serving, fleet, autotune); ``--fail-on-regress`` compares only against
+records made with the same settings, such as the committed
+``bench-history/`` baselines.
 """
 
 from __future__ import annotations
@@ -38,6 +44,14 @@ from .baselines import BASELINE_MODELS, CpuModel, HeonGpuModel, TensorFheModel
 from .ckks.params import TABLE4, KlssConfig, get_set
 from .core import ABLATION_STEPS, NEO_CONFIG, NeoContext
 from .core.profiling import chrome_trace_json, profile_application
+from .telemetry.bench_history import (
+    BENCHES,
+    BenchHistoryError,
+    compare_to_last,
+    format_regressions,
+    history_path,
+    record_result,
+)
 
 #: profile-command system registry: the baselines plus Neo itself.
 SYSTEM_MODELS = dict(
@@ -552,27 +566,24 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _bench_finish(args, name: str, metrics, meta) -> int:
+def _bench_finish(args, name: str, result) -> int:
     """Shared --record / --fail-on-regress tail of the bench commands."""
     if not (args.record or args.fail_on_regress):
         return 0
-    from .telemetry.bench_history import (
-        compare_to_last,
-        format_regressions,
-        history_path,
-        record_result,
-    )
-
     baseline, regressions = compare_to_last(
-        name, metrics, directory=args.bench_dir, rtol=args.rtol
+        name, result.metrics, directory=args.bench_dir, rtol=args.rtol,
+        meta=result.meta,
     )
-    if baseline is not None:
+    if baseline is None:
+        _print("no baseline for these settings")
+    else:
         _print(
-            f"vs last recorded run ({baseline.recorded_at}): "
+            f"vs last run with these settings ({baseline.recorded_at}): "
             + format_regressions(regressions)
         )
     if args.record:
-        record_result(name, metrics, meta=meta, directory=args.bench_dir)
+        record_result(name, result.metrics, meta=result.meta,
+                      directory=args.bench_dir)
         print(f"recorded to {history_path(name, args.bench_dir)}")
     if regressions and args.fail_on_regress:
         return 1
@@ -580,373 +591,40 @@ def _bench_finish(args, name: str, metrics, meta) -> int:
 
 
 def cmd_bench(args) -> int:
-    import time
-
-    import numpy as np
-
-    from .ckks.keys import KeyGenerator
-    from .ckks.keyswitch import hybrid, klss
-    from .ckks.keyswitch import plan as ksplan
-    from .ckks.params import CkksParameters
-    from .math.polynomial import RnsPolynomial
-
-    if args.kernel not in (
-        "keyswitch", "bootstrap", "serving", "fleet", "autotune"
-    ):
+    bench = BENCHES.get(args.kernel)
+    if bench is None:
         print(
             f"unknown bench kernel {args.kernel!r}; "
-            "choose from: keyswitch, bootstrap, serving, fleet, autotune",
+            f"choose from: {', '.join(sorted(BENCHES))}",
             file=sys.stderr,
         )
         return 2
-    # The serving-layer and autotune benches run entirely on the modeled
-    # clock and take workload/gpus/device knobs, not ring parameters --
-    # dispatch before the keyswitch-specific degree/dnum validation below.
-    if args.kernel == "serving":
-        return _bench_serving(args)
-    if args.kernel == "fleet":
-        return _bench_fleet(args)
-    if args.kernel == "autotune":
-        return _bench_autotune(args)
-    # Kernel-specific defaults: the functional bootstrap pipeline is far
-    # heavier per invocation than one key switch, and needs a longer chain.
-    if args.degree is None:
-        args.degree = 32 if args.kernel == "bootstrap" else 1024
-    if args.dnum is None:
-        args.dnum = 4 if args.kernel == "bootstrap" else 2
-    if args.degree < 8 or args.degree & (args.degree - 1):
-        print(f"--degree must be a power of two >= 8, got {args.degree}",
+    for option, value in bench.defaults.items():
+        if getattr(args, option) is None:
+            setattr(args, option, value)
+    degree = args.degree
+    if degree is not None and (degree < 8 or degree & (degree - 1)):
+        print(f"--degree must be a power of two >= 8, got {degree}",
               file=sys.stderr)
         return 2
-    if args.dnum < 1 or args.repeats < 1:
-        print("--dnum and --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.kernel == "bootstrap":
-        return _bench_bootstrap(args)
-    try:
-        params = CkksParameters(
-            degree=args.degree,
-            max_level=2 * args.dnum - 1,
-            wordsize=args.wordsize,
-            dnum=args.dnum,
-            klss=KlssConfig(wordsize_t=args.wordsize + 5, alpha_tilde=2),
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    gen = KeyGenerator(params, seed=args.seed)
-    ksk = gen.relinearisation_key(gen.secret_key())
-    rng = np.random.default_rng(args.seed)
-    basis = params.q_basis(params.max_level)
-    poly = RnsPolynomial(
-        args.degree,
-        basis,
-        [rng.integers(0, q, size=args.degree, dtype=np.uint64)
-         for q in basis.moduli],
-        is_ntt=False,
-    )
-
-    def best(fn):
-        t = float("inf")
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            fn()
-            t = min(t, time.perf_counter() - start)
-        return t
-
-    ksplan.clear_keyswitch_plan_cache()
-    rows = []
-    metrics = {}
-    for name, mod in (("hybrid", hybrid), ("klss", klss)):
-        mod.keyswitch(poly, ksk, params)  # warm the plan + NTT caches
-        mod.keyswitch_loop(poly, ksk, params)
-        t_loop = best(lambda: mod.keyswitch_loop(poly, ksk, params))
-        t_gemm = best(lambda: mod.keyswitch(poly, ksk, params))
-        rows.append(
-            [name, f"{t_loop * 1e3:.2f}", f"{t_gemm * 1e3:.2f}",
-             f"{t_loop / t_gemm:.2f}x"]
-        )
-        metrics[f"{name}_loop_ms"] = t_loop * 1e3
-        metrics[f"{name}_gemm_ms"] = t_gemm * 1e3
-        metrics[f"{name}_speedup"] = t_loop / t_gemm
-    _print(
-        format_table(
-            ["method", "loop ms", "gemm ms", "speedup"],
-            rows,
-            title=(
-                f"KeySwitch loop vs GEMM (N=2^{params.log_degree}, "
-                f"WS={args.wordsize}, dnum={args.dnum}, "
-                f"l={params.max_level})"
-            ),
-        )
-    )
-    stats = ksplan.keyswitch_plan_cache_stats()
-    _print(
-        "plan cache: "
-        f"{stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['evictions']} evictions "
-        f"(hit rate {stats['hit_rate'] * 100:.0f}%, "
-        f"{ksplan.keyswitch_plan_cache_size()} plans resident)"
-    )
-    return _bench_finish(
-        args, "keyswitch", metrics,
-        meta={
-            "degree": args.degree, "wordsize": args.wordsize,
-            "dnum": args.dnum, "repeats": args.repeats,
-        },
-    )
-
-
-def _bench_bootstrap(args) -> int:
-    """Time the full functional bootstrap: op-plan path vs loop path."""
-    import time
-
-    import numpy as np
-
-    from .ckks import (
-        CkksEncoder,
-        CkksParameters,
-        Encryptor,
-        Evaluator,
-        KeyGenerator,
-    )
-    from .ckks.bootstrap import Bootstrapper
-    from .ckks.keys import conjugation_galois_power
-    from .ckks.keyswitch import plan as ksplan
-
-    try:
-        params = CkksParameters(
-            degree=args.degree,
-            max_level=3 * args.dnum,
-            wordsize=args.wordsize,
-            dnum=args.dnum,
-            first_prime_bits=args.wordsize + 2,
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    gen = KeyGenerator(params, seed=args.seed)
-    sk = gen.secret_key(hamming_weight=1)
-    encoder = CkksEncoder(params)
-    encryptor = Encryptor(params, public_key=gen.public_key(sk), seed=args.seed + 1)
-    relin = gen.relinearisation_key(sk)
-    # One shared key set: key generation is randomized, so separate keys
-    # would (correctly) break the bit-identity check below.
-    ev_plan = Evaluator(params, relin_key=relin, method="hybrid")
-    ev_loop = Evaluator(params, relin_key=relin, method="hybrid-loop")
-    boot_plan = Bootstrapper(params, encoder, ev_plan)
-    boot_loop = Bootstrapper(params, encoder, ev_loop)
-    galois = gen.rotation_keys(sk, boot_plan.required_rotations())
-    conj = conjugation_galois_power(params.degree)
-    galois.add(conj, gen.galois_key(sk, conj))
-    ev_plan.galois_keys = galois
-    ev_loop.galois_keys = galois
-
-    rng = np.random.default_rng(args.seed)
-    v = np.clip(0.3 * rng.normal(size=params.slots), -0.8, 0.8)
-    ct = encryptor.encrypt(encoder.encode(v, level=0))
-
-    def best(fn):
-        t = float("inf")
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            fn()
-            t = min(t, time.perf_counter() - start)
-        return t
-
-    ksplan.clear_keyswitch_plan_cache()
-    # Warm runs compile the op plans / encode the diagonals, and feed the
-    # bit-identity check.
-    out_plan = boot_plan.bootstrap(ct)
-    out_loop = boot_loop.bootstrap(ct)
-    identical = all(
-        np.array_equal(a.from_ntt().limb_stack(), b.from_ntt().limb_stack())
-        for a, b in ((out_plan.c0, out_loop.c0), (out_plan.c1, out_loop.c1))
-    )
-    t_plan = best(lambda: boot_plan.bootstrap(ct))
-    t_loop = best(lambda: boot_loop.bootstrap(ct))
-    _print(
-        format_table(
-            ["method", "loop ms", "plan ms", "speedup", "bit-identical"],
-            [["hybrid", f"{t_loop * 1e3:.1f}", f"{t_plan * 1e3:.1f}",
-              f"{t_loop / t_plan:.2f}x", str(identical)]],
-            title=(
-                f"Bootstrap loop vs GEMM plan (N=2^{params.log_degree}, "
-                f"WS={args.wordsize}, dnum={args.dnum}, L={params.max_level})"
-            ),
-        )
-    )
-    stats = ksplan.keyswitch_plan_cache_stats()
-    _print(
-        "plan cache: "
-        f"{stats['hits']} hits, {stats['misses']} misses, "
-        f"{stats['evictions']} evictions "
-        f"(hit rate {stats['hit_rate'] * 100:.0f}%, "
-        f"{ksplan.keyswitch_plan_cache_size()} plans resident)"
-    )
-    bench_rc = _bench_finish(
-        args, "bootstrap",
-        {
-            "loop_ms": t_loop * 1e3,
-            "plan_ms": t_plan * 1e3,
-            "speedup": t_loop / t_plan,
-        },
-        meta={
-            "degree": args.degree, "wordsize": args.wordsize,
-            "dnum": args.dnum, "repeats": args.repeats,
-        },
-    )
-    return (0 if identical else 1) or bench_rc
-
-
-def _bench_serving(args) -> int:
-    """Continuous batching vs serial dispatch on the simulated clock."""
-    from .serving import Server, parse_workload_spec, synthesize_arrivals
-
-    workload = args.workload or "mixed"
-    try:
-        phases = parse_workload_spec(workload)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    requests = synthesize_arrivals(phases, seed=args.seed)
-    serial = Server(policy="fifo", max_batch=1, max_wait_s=0.0, lanes=1)
-    serial.submit_many(requests)
-    serial_report = serial.drain()
-    batched = Server()
-    batched.submit_many(requests)
-    batched_report = batched.drain()
-    speedup = (
-        batched_report.throughput_rps / serial_report.throughput_rps
-        if serial_report.throughput_rps
-        else 0.0
-    )
-    _print(
-        format_table(
-            ["dispatch", "req/s", "P95 s", "SLO attainment"],
-            [
-                ["serial", f"{serial_report.throughput_rps:.3f}",
-                 f"{serial_report.latency_summary()['p95']:.1f}",
-                 f"{100 * serial_report.slo_attainment:.1f}%"],
-                ["continuous", f"{batched_report.throughput_rps:.3f}",
-                 f"{batched_report.latency_summary()['p95']:.1f}",
-                 f"{100 * batched_report.slo_attainment:.1f}%"],
-            ],
-            title=f"Serving throughput, workload {workload!r} (seed {args.seed})",
-        )
-    )
-    _print(f"continuous batching speedup: {speedup:.2f}x")
-    return _bench_finish(
-        args, "serving",
-        {
-            "serial_rps": serial_report.throughput_rps,
-            "continuous_rps": batched_report.throughput_rps,
-            "batching_speedup": speedup,
-            "continuous_attainment": batched_report.slo_attainment,
-        },
-        meta={"workload": workload, "seed": args.seed},
-    )
-
-
-def _bench_fleet(args) -> int:
-    """Fleet scaling: N modeled GPUs vs one on an overload workload."""
-    from .serving import Fleet, Server, parse_workload_spec, synthesize_arrivals
-
-    workload = args.workload or "overload"
-    if args.gpus < 1:
-        print(f"--gpus must be >= 1, got {args.gpus}", file=sys.stderr)
+    dnum = args.dnum
+    if args.repeats < 1 or args.gpus < 1 or (dnum is not None and dnum < 1):
+        print("--dnum, --repeats and --gpus must be >= 1", file=sys.stderr)
         return 2
     try:
-        phases = parse_workload_spec(workload)
+        result = bench.run(args)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
+        print(f"bench {bench.name}: {exc}", file=sys.stderr)
         return 2
-    requests = synthesize_arrivals(phases, seed=args.seed)
-    single = Server()
-    single.submit_many(requests)
-    single_report = single.drain()
-    fleet = Fleet(gpus=args.gpus)
-    fleet.submit_many(requests)
-    fleet_report = fleet.drain()
-    speedup = (
-        fleet_report.throughput_rps / single_report.throughput_rps
-        if single_report.throughput_rps
-        else 0.0
-    )
-    _print(
-        format_table(
-            ["devices", "req/s", "P95 s", "SLO attainment"],
-            [
-                ["1", f"{single_report.throughput_rps:.3f}",
-                 f"{single_report.latency_summary()['p95']:.1f}",
-                 f"{100 * single_report.slo_attainment:.1f}%"],
-                [str(args.gpus), f"{fleet_report.throughput_rps:.3f}",
-                 f"{fleet_report.latency_summary()['p95']:.1f}",
-                 f"{100 * fleet_report.slo_attainment:.1f}%"],
-            ],
-            title=f"Fleet scaling, workload {workload!r} (seed {args.seed})",
-        )
-    )
-    _print(
-        f"fleet speedup: {speedup:.2f}x on {args.gpus} device(s) "
-        f"({100 * speedup / args.gpus:.0f}% scaling efficiency)"
-    )
-    return _bench_finish(
-        args, "fleet",
-        {
-            "single_rps": single_report.throughput_rps,
-            "fleet_rps": fleet_report.throughput_rps,
-            "fleet_speedup": speedup,
-            "fleet_attainment": fleet_report.slo_attainment,
-        },
-        meta={"workload": workload, "gpus": args.gpus, "seed": args.seed},
-    )
-
-
-def _bench_autotune(args) -> int:
-    """Quick-budget plan search per app; tuned-vs-baseline on the model."""
-    import time
-
-    from .core import tune_app
-    from .gpu import get_device
-
+    _print(format_table(result.headers, result.rows, title=result.title))
+    for note in result.notes:
+        _print(note)
     try:
-        device = get_device(args.device).hier()
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+        rc = _bench_finish(args, bench.name, result)
+    except BenchHistoryError as exc:
+        print(f"bench {bench.name}: {exc}", file=sys.stderr)
         return 2
-    apps = ("helr", "packbootstrap", "resnet20")
-    rows = []
-    metrics = {}
-    start = time.perf_counter()
-    for app in apps:
-        report = tune_app(app, params="C", device=device, budget="quick")
-        best = report.best
-        baseline_ms = (
-            f"{report.baseline_time_s * 1e3:.1f}"
-            if report.baseline_time_s
-            else "n/a"
-        )
-        rows.append([
-            app, baseline_ms, f"{best.time_s * 1e3:.1f}",
-            f"{best.speedup:.2f}x" if best.speedup else "n/a",
-            best.label(),
-        ])
-        metrics[f"{app}_tuned_ms"] = best.time_s * 1e3
-        if best.speedup:
-            metrics[f"{app}_speedup"] = best.speedup
-    metrics["search_wall_s"] = time.perf_counter() - start
-    _print(
-        format_table(
-            ["app", "baseline ms", "tuned ms", "speedup", "configuration"],
-            rows,
-            title=f"Autotuned plans on {device.name} (set C, quick budget)",
-        )
-    )
-    return _bench_finish(
-        args, "autotune", metrics,
-        meta={"device": device.name, "budget": "quick", "apps": list(apps)},
-    )
+    return (0 if result.ok else 1) or rc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1165,7 +843,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "kernel",
-        help="benchmark to run: keyswitch, bootstrap, serving, fleet, autotune",
+        help="benchmark to run (layer): " + ", ".join(
+            f"{name} ({b.layer})" for name, b in BENCHES.items()
+        ),
     )
     bench.add_argument(
         "--device", default="a100",
@@ -1185,9 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ring degree N (default: 1024 for keyswitch, 32 for bootstrap)",
     )
     bench.add_argument(
-        "--wordsize", type=int, default=25, help="limb bits (default 25)"
-    )
-    bench.add_argument(
         "--dnum", type=int, default=None,
         help="digit count (default: 2 for keyswitch, 4 for bootstrap)",
     )
@@ -1205,7 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--fail-on-regress", action="store_true",
-        help="exit non-zero when a metric regresses vs the last recorded run",
+        help="exit non-zero when a metric regresses vs the last recorded run "
+        "with the same settings",
     )
     bench.add_argument(
         "--rtol", type=float, default=0.5,

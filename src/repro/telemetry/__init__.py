@@ -13,8 +13,9 @@ roadmap items report through:
   cache shares, plus the process-wide cache directory.
 * :mod:`repro.telemetry.fhe` -- noise-budget / level / scale-drift meters
   over the CKKS evaluator and analytic serving schedules.
-* :mod:`repro.telemetry.bench_history` -- ``BENCH_<name>.json`` recorder
-  and the regression comparator CI gates on.
+* :mod:`repro.telemetry.bench_history` -- the ``repro bench`` registry,
+  the ``BENCH_<name>.json`` recorder and the same-settings regression
+  comparator CI gates on (its benches import ckks/serving lazily).
 
 ``fhe`` (which reaches into :mod:`repro.ckks`) loads lazily so that ckks
 modules can import the stdlib-only telemetry layers without a cycle.

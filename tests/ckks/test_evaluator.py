@@ -1,5 +1,8 @@
 """Tests for every primitive operation of Section 2.1 (both back-ends)."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -63,7 +66,9 @@ class TestAdditive:
     def test_add_scale_mismatch_rejected(self, encoder, encryptor, evaluator):
         ct0 = encryptor.encrypt(encoder.encode([1.0]))
         ct1 = encryptor.encrypt(encoder.encode([1.0], scale=2.0**20))
-        with pytest.raises(ValueError):
+        # the message names each scale by its log2
+        expected = f"scale mismatch: 2^{math.log2(ct0.scale):.2f} vs 2^20.00;"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             evaluator.add(ct0, ct1)
 
 

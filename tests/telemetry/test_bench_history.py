@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.telemetry.bench_history import (
+    BenchHistoryError,
     BenchRecord,
     compare,
     compare_to_last,
@@ -13,6 +14,15 @@ from repro.telemetry.bench_history import (
     load_history,
     record_result,
 )
+
+
+#: ``BENCH_<name>.json`` contents that are not a benchmark history.
+MALFORMED_HISTORIES = {
+    "truncated-json": '[{"name": "keyswitch", "metrics": {',
+    "not-an-array": '{"name": "keyswitch", "metrics": {}}',
+    "record-without-name": '[{"recorded_at": "now", "metrics": {}}]',
+    "non-numeric-metric": '[{"name": "keyswitch", "metrics": {"x_ms": "abc"}}]',
+}
 
 
 def _record(**metrics):
@@ -46,6 +56,14 @@ class TestRecording:
             json.dump({"not": "array"}, fh)
         with pytest.raises(ValueError, match="not a benchmark-history array"):
             load_history("bad", str(tmp_path))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HISTORIES))
+    def test_load_rejects_malformed_history_with_typed_error(self, tmp_path, case):
+        path = history_path("keyswitch", str(tmp_path))
+        with open(path, "w") as fh:
+            fh.write(MALFORMED_HISTORIES[case])
+        with pytest.raises(BenchHistoryError, match="BENCH_keyswitch.json"):
+            load_history("keyswitch", str(tmp_path))
 
 
 class TestCompare:
@@ -103,6 +121,20 @@ class TestCompareToLast:
         # 12 vs the last run's 10 regresses; vs the first run's 100 it would not
         assert baseline.metrics["loop_ms"] == 10.0
         assert len(regs) == 1
+
+    def test_compares_only_against_same_settings(self, tmp_path):
+        # a 4-GPU baseline says nothing about a 2-GPU run, however recent
+        record_result("fleet", {"fleet_rps": 4.0}, meta={"gpus": 4},
+                      directory=str(tmp_path))
+        record_result("fleet", {"fleet_rps": 2.0}, meta={"gpus": 2},
+                      directory=str(tmp_path))
+        baseline, regs = compare_to_last("fleet", {"fleet_rps": 1.0},
+                                         directory=str(tmp_path),
+                                         meta={"gpus": 4})
+        assert baseline.meta == {"gpus": "4"} and len(regs) == 1
+        assert compare_to_last("fleet", {"fleet_rps": 1.0},
+                               directory=str(tmp_path),
+                               meta={"gpus": 8}) == (None, [])
 
     def test_format_regressions_messages(self):
         assert "no regressions" in format_regressions([])

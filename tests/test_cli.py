@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
+from repro.telemetry.bench_history import BENCHES, BenchResult, history_path
 from tests.serving.test_replay import MALFORMED_SNAPSHOTS
+from tests.telemetry.test_bench_history import MALFORMED_HISTORIES
 
 
 def test_params_all(capsys):
@@ -159,6 +163,34 @@ class TestBenchCommand:
     def test_bench_rejects_bad_counts(self, capsys):
         assert main(["bench", "keyswitch", "--repeats", "0"]) == 2
         assert ">= 1" in capsys.readouterr().err
+
+    @staticmethod
+    def _stub(monkeypatch, name, run):
+        monkeypatch.setitem(BENCHES, name, dataclasses.replace(BENCHES[name], run=run))
+
+    def test_bench_numerical_failure_exits_2(self, capsys, monkeypatch):
+        def run(opts):
+            raise ValueError("scale mismatch: 2^25.01 vs 2^25.19; rescale first")
+
+        self._stub(monkeypatch, "bootstrap", run)
+        assert main(["bench", "bootstrap", "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "scale mismatch: 2^25.01" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HISTORIES))
+    def test_bench_malformed_history_exits_2(self, capsys, monkeypatch,
+                                             tmp_path, case):
+        result = BenchResult(title="stub", headers=["x"], rows=[["1"]],
+                             metrics={"x_ms": 1.0}, meta={})
+        self._stub(monkeypatch, "keyswitch", lambda opts: result)
+        with open(history_path("keyswitch", str(tmp_path)), "w") as fh:
+            fh.write(MALFORMED_HISTORIES[case])
+        assert main(["bench", "keyswitch", "--bench-dir", str(tmp_path),
+                     "--fail-on-regress"]) == 2
+        err = capsys.readouterr().err
+        assert "BENCH_keyswitch.json" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestMetricsCommand:
@@ -354,6 +386,15 @@ class TestServingBenchCommand:
         (record,) = load_history("serving", str(tmp_path))
         assert "batching_speedup" in record.metrics
         assert "continuous_rps" in record.metrics
+
+    def test_fail_on_regress_compares_only_same_settings(self, capsys, tmp_path):
+        # against the mixed-workload record, the smoke run's continuous_rps
+        # would "drop" ~64%: a different experiment, not a regression
+        bench_dir = ["--bench-dir", str(tmp_path)]
+        assert main(["bench", "serving", "--workload", "mixed", "--record"]
+                    + bench_dir) == 0
+        assert main(self.SMOKE + bench_dir + ["--fail-on-regress"]) == 0
+        assert "no baseline for these settings" in capsys.readouterr().out
 
     def test_bench_serving_rejects_bad_workload(self, capsys):
         assert main(["bench", "serving", "--workload", "nope:1"]) == 2
