@@ -8,6 +8,13 @@ server is draining and no further arrivals can top the batch up.  Until
 then the batch stays open, trading a bounded wait for a larger -- and far
 more device-efficient -- BatchSize (the Fig. 17 occupancy effect is what
 makes this trade profitable).
+
+The rule reads any sequence of pending requests.  The server passes only
+the head bucket's first ``max_batch + 1`` requests, already in dispatch
+order (:meth:`repro.serving.queue.RequestQueue.head_group`): request sizes
+are >= 1, so no request past those can change the decision.  Given the
+whole queue instead, the rule finds the same batch; the tests use it that
+way as the oracle for the queue's index.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class Batch:
 
 
 class ContinuousBatcher:
-    """Stateless batch-formation rule over the pending queue."""
+    """Stateless batch-formation rule over pending requests."""
 
     def __init__(self, policy: AdmissionPolicy, max_batch: int = 64,
                  max_wait_s: float = 30.0):
@@ -58,6 +65,10 @@ class ContinuousBatcher:
         self, pending: Sequence[Request], now: float, draining: bool
     ) -> Tuple[Optional[List[Request]], float]:
         """The batch to dispatch at `now`, or when to look again.
+
+        `pending` is the whole queue or any prefix of its head bucket in
+        dispatch order that holds at least ``max_batch + 1`` requests (or
+        all of them); both give the same answer.
 
         Returns ``(requests, window_deadline)``.  ``requests`` is non-None
         when the head bucket should dispatch now (full, window expired, or

@@ -1,10 +1,17 @@
 """The admission queue: arrived-but-unscheduled requests plus depth metrics.
 
-The queue itself is policy-free -- it holds requests in arrival order and
-records a time-stamped depth sample at every mutation, so the server can
-report time-weighted mean and peak queue depth without a separate metrics
-pass.  Ordering and batching decisions live in
-:mod:`repro.serving.policies` and :mod:`repro.serving.batcher`.
+The queue is **indexed** for dispatch.  A rid-keyed table keeps the
+requests in push order (``requests``) and makes removing a dispatched
+batch or a cancelled request O(1) per request; alongside it, every
+``policy.bucket`` keeps its requests sorted by ``policy.order_key``, each
+key computed once at push.  :meth:`RequestQueue.head_group` then reads the
+head bucket's first few requests without touching the rest of the queue,
+so a dispatch decision costs O(buckets + max_batch) however deep the
+queue grows.  The decision rule itself lives in
+:mod:`repro.serving.batcher` (and the ordering in
+:mod:`repro.serving.policies`); every mutation also records a time-stamped
+depth sample, so the server can report time-weighted mean and peak queue
+depth without a separate metrics pass.
 
 The queue is **bounded** when given a ``capacity``: pushing into a full
 queue raises :class:`QueueFull` instead of growing without limit.  Under
@@ -16,9 +23,17 @@ backpressure signals.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from bisect import bisect_left, insort
+from operator import itemgetter
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+from .policies import AdmissionPolicy, FifoPolicy
 from .request import Request
+
+#: One queued request: (order key, push sequence, request, bucket).  The
+#: unique push sequence breaks order-key ties, so entries never compare
+#: past it.
+_Entry = Tuple[Tuple, int, Request, Hashable]
 
 
 class QueueFull(Exception):
@@ -32,44 +47,93 @@ class QueueFull(Exception):
 
 
 class RequestQueue:
-    """Pending requests with step-function depth accounting.
+    """Pending requests, indexed for dispatch, with step-function depth
+    accounting.
 
     Args:
         capacity: maximum pending requests; ``None`` leaves the queue
             unbounded (the pre-overload-control behaviour).
+        policy: the admission policy whose ``bucket`` and ``order_key``
+            the dispatch index is built on; defaults to FIFO.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(
+        self,
+        capacity: Optional[int] = None,
+        policy: Optional[AdmissionPolicy] = None,
+    ):
         if capacity is not None and capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._pending: List[Request] = []
+        self.policy = policy if policy is not None else FifoPolicy()
+        #: rid -> entry, in push order.
+        self._entries: Dict[int, _Entry] = {}
+        #: bucket -> its entries sorted by (order key, push sequence).
+        self._buckets: Dict[Hashable, List[_Entry]] = {}
+        self._pushes = 0
         #: (time, depth) samples; depth holds until the next sample.
         self._samples: List[Tuple[float, int]] = []
 
     # -- membership ---------------------------------------------------------------
 
     def push(self, request: Request, now: float) -> None:
-        """Append one request; raises :class:`QueueFull` at the bound."""
-        if self.capacity is not None and len(self._pending) >= self.capacity:
+        """Add one request; raises :class:`QueueFull` at the bound and
+        ``ValueError`` when its rid is already queued."""
+        if self.capacity is not None and len(self._entries) >= self.capacity:
             raise QueueFull(self.capacity)
-        self._pending.append(request)
+        if request.rid in self._entries:
+            raise ValueError(f"request id {request.rid} is already queued")
+        bucket = self.policy.bucket(request)
+        entry = (self.policy.order_key(request), self._pushes, request, bucket)
+        self._pushes += 1
+        self._entries[request.rid] = entry
+        insort(self._buckets.setdefault(bucket, []), entry)
         self._sample(now)
 
     def remove(self, requests: Iterable[Request], now: float) -> None:
         """Drop a dispatched batch's requests (by identity of rid)."""
-        gone = {r.rid for r in requests}
-        self._pending = [r for r in self._pending if r.rid not in gone]
+        doomed: Dict[Hashable, List[int]] = {}  # bucket -> positions to drop
+        for request in requests:
+            entry = self._entries.pop(request.rid, None)
+            if entry is None:
+                continue
+            key, pushed, _, bucket = entry
+            doomed.setdefault(bucket, []).append(
+                bisect_left(self._buckets[bucket], (key, pushed))
+            )
+        for bucket, positions in doomed.items():
+            entries = self._buckets[bucket]
+            positions.sort()
+            if positions[-1] - positions[0] == len(positions) - 1:
+                # A dispatched take is a prefix of its bucket: one slice.
+                del entries[positions[0]:positions[-1] + 1]
+            else:
+                for position in reversed(positions):
+                    del entries[position]
+            if not entries:
+                del self._buckets[bucket]
         self._sample(now)
 
     def pop_rid(self, rid: int, now: float) -> Optional[Request]:
         """Remove and return the queued request with `rid`, if present."""
-        for i, request in enumerate(self._pending):
-            if request.rid == rid:
-                del self._pending[i]
-                self._sample(now)
-                return request
-        return None
+        entry = self._entries.get(rid)
+        if entry is None:
+            return None
+        self.remove((entry[2],), now)
+        return entry[2]
+
+    def head_group(self, limit: int) -> List[Request]:
+        """The first `limit` requests of the head bucket, in dispatch order.
+
+        The head bucket is the one holding the lowest ``order_key`` (ties
+        go to the earlier push), and its requests come sorted the same
+        way -- exactly the group ``ContinuousBatcher.candidate`` forms
+        from the whole queue, cut to `limit`.
+        """
+        if not self._buckets:
+            return []
+        head = min(self._buckets.values(), key=itemgetter(0))
+        return [entry[2] for entry in head[:limit]]
 
     def lowest_priority(self, below: int) -> Optional[Request]:
         """The eviction victim: lowest priority strictly below `below`.
@@ -79,7 +143,7 @@ class RequestQueue:
         request is at or above `below`.
         """
         victim: Optional[Request] = None
-        for request in self._pending:
+        for request in self.requests:
             if request.priority >= below:
                 continue
             if (
@@ -96,18 +160,20 @@ class RequestQueue:
 
     def tenant_depth(self, tenant: str) -> int:
         """Currently queued requests belonging to one tenant."""
-        return sum(1 for r in self._pending if r.tenant == tenant)
+        return sum(
+            1 for entry in self._entries.values() if entry[2].tenant == tenant
+        )
 
     @property
     def requests(self) -> Tuple[Request, ...]:
-        """The pending requests in arrival (push) order."""
-        return tuple(self._pending)
+        """The pending requests in push order."""
+        return tuple(entry[2] for entry in self._entries.values())
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self._pending)
+        return bool(self._entries)
 
     # -- pressure -----------------------------------------------------------------
 
@@ -116,12 +182,12 @@ class RequestQueue:
         """Fill fraction in [0, 1]; always 0.0 for unbounded queues."""
         if self.capacity is None:
             return 0.0
-        return len(self._pending) / self.capacity
+        return len(self._entries) / self.capacity
 
     # -- depth metrics ------------------------------------------------------------
 
     def _sample(self, now: float) -> None:
-        self._samples.append((now, len(self._pending)))
+        self._samples.append((now, len(self._entries)))
 
     def max_depth(self) -> int:
         return max((depth for _, depth in self._samples), default=0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .overload import OverloadPolicy
 from .request import Request
@@ -147,12 +147,15 @@ class TimelineSnapshot:
             )
         snapshot = cls(server_config=dict(header["server"]))
         footer: Optional[Dict[str, object]] = None
+        rids: Set[int] = set()
         for row in rows[1:]:
             kind = row.get("kind")
             if kind == "request":
-                snapshot.requests.append(
-                    Request(**{k: row[k] for k in _REQUEST_FIELDS})
-                )
+                request = Request(**{k: row[k] for k in _REQUEST_FIELDS})
+                if request.rid in rids:
+                    raise SnapshotError(f"repeated request id {request.rid}")
+                rids.add(request.rid)
+                snapshot.requests.append(request)
             elif kind == "cancel":
                 snapshot.cancels.append((int(row["rid"]), float(row["at_s"])))
             elif kind == "footer":

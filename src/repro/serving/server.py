@@ -18,7 +18,7 @@ replays can assert bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..analysis.reporting import format_table
 from ..apps import get_application
@@ -556,6 +556,7 @@ class Server:
         self.overload = overload
         self.tracer = tracer
         self._submitted: List[Request] = []
+        self._rids: Set[int] = set()
         self._cancels: Dict[int, float] = {}
         self._next_rid = 0
         self._last_report: Optional[ServingReport] = None
@@ -585,7 +586,11 @@ class Server:
         tenant: str = "default",
         priority: int = 1,
     ) -> Request:
-        """Enqueue one request (an instance, or fields to build one)."""
+        """Enqueue one request (an instance, or fields to build one).
+
+        Request ids are unique per server: submitting a rid that is
+        already submitted raises ``ValueError``.
+        """
         if request is None:
             if app is None:
                 raise ValueError("submit needs a Request or an app name")
@@ -598,6 +603,9 @@ class Server:
                 tenant=tenant,
                 priority=priority,
             )
+        if request.rid in self._rids:
+            raise ValueError(f"request id {request.rid} is already submitted")
+        self._rids.add(request.rid)
         self._next_rid = max(self._next_rid, request.rid) + 1
         self._submitted.append(request)
         return request
@@ -657,7 +665,7 @@ class Server:
         controller = (
             AdmissionController(self.overload) if self.overload else None
         )
-        queue = RequestQueue(capacity=capacity)
+        queue = RequestQueue(capacity, policy=self.policy)
         lane_free = [0.0] * self.lanes
         records: List[RequestRecord] = []
         batches: List[Batch] = []
@@ -738,8 +746,10 @@ class Server:
                 continue
 
             draining = index >= total
+            # Sizes are >= 1, so max_batch + 1 head-bucket requests decide
+            # the take exactly; the rest of the queue cannot change it.
             take, window_deadline = self.batcher.candidate(
-                queue.requests, now, draining
+                queue.head_group(self.batcher.max_batch + 1), now, draining
             )
             if take is None:
                 # The head batch is still filling: sleep until its window

@@ -15,6 +15,7 @@ from repro.serving import (
     FixedServiceModel,
     FrontEndClosed,
     OverloadPolicy,
+    Request,
     Server,
     parse_workload_spec,
     run_wall_clock,
@@ -159,5 +160,16 @@ class TestLiveMode:
             with pytest.raises(ValueError, match="unknown application"):
                 await front.submit(app="not-an-app", arrival_s=0.0)
             await front.close()
+
+        asyncio.run(scenario())
+
+    def test_duplicate_rid_surfaces_to_submitter(self):
+        async def scenario():
+            front = AsyncFrontEnd(_server())
+            await front.submit(Request(rid=5, app="helr"))
+            with pytest.raises(ValueError, match="request id 5"):
+                await front.submit(Request(rid=5, app="helr"))
+            report = await front.drain()
+            assert report.offered == report.served == 1
 
         asyncio.run(scenario())

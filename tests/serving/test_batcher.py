@@ -1,10 +1,19 @@
-"""Continuous batching rules: full / window-expired / draining dispatch."""
+"""Continuous batching rules: full / window-expired / draining dispatch,
+and the indexed queue's head group deciding exactly like the whole queue."""
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.serving import ContinuousBatcher, FifoPolicy, Request, RequestQueue
+from repro.serving import (
+    POLICIES,
+    ContinuousBatcher,
+    FifoPolicy,
+    Request,
+    RequestQueue,
+    get_policy,
+)
 
 
 def _req(rid, app="helr", size=1, arrival=0.0):
@@ -94,3 +103,93 @@ class TestQueueMetrics:
         queue.push(_req(1), now=0.0)
         queue.remove([_req(0)], now=1.0)
         assert [r.rid for r in queue.requests] == [1]
+
+
+TENANTS = ("a", "b")
+
+#: One queue operation: push a fresh request, remove an arbitrary subset
+#: (picked by index into the queue, plus one rid that is never queued),
+#: pop one rid, or dispatch the head batch the way the server does.
+_push = st.tuples(
+    st.just("push"),
+    st.integers(min_value=0, max_value=40),  # rid (repeats collide)
+    st.sampled_from(("helr", "packbootstrap")),
+    st.integers(min_value=1, max_value=10),  # size, also > max_batch
+    st.integers(min_value=0, max_value=20),  # arrival (ties likely)
+    st.integers(min_value=1, max_value=30),  # slo
+    st.integers(min_value=0, max_value=2),  # priority
+    st.sampled_from(TENANTS),
+)
+_remove = st.tuples(
+    st.just("remove"), st.lists(st.integers(min_value=0, max_value=50), max_size=4)
+)
+_pop = st.tuples(st.just("pop"), st.integers(min_value=0, max_value=40))
+_dispatch = st.tuples(st.just("dispatch"))
+
+
+class TestHeadGroupEquivalence:
+    """``candidate`` over ``head_group(max_batch + 1)`` equals ``candidate``
+    over the whole queue after any sequence of pushes and removals, and the
+    queue's membership agrees with a plain-list model."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy_name=st.sampled_from(sorted(POLICIES)),
+        max_batch=st.integers(min_value=1, max_value=8),
+        max_wait_s=st.sampled_from((0.0, 5.0, 30.0)),
+        ops=st.lists(
+            st.one_of(_push, _push, _push, _remove, _pop, _dispatch),
+            min_size=10, max_size=60,
+        ),
+        now=st.integers(min_value=0, max_value=60),
+    )
+    def test_head_group_decides_like_the_whole_queue(
+        self, policy_name, max_batch, max_wait_s, ops, now
+    ):
+        policy = get_policy(policy_name)
+        batcher = ContinuousBatcher(policy, max_batch=max_batch, max_wait_s=max_wait_s)
+        queue = RequestQueue(policy=policy)
+        model = []
+        for step, op in enumerate(ops):
+            if op[0] == "push":
+                _, rid, app, size, arrival, slo, priority, tenant = op
+                request = Request(
+                    rid=rid, app=app, size=size, arrival_s=float(arrival),
+                    slo_s=float(slo), tenant=tenant, priority=priority,
+                )
+                if any(r.rid == rid for r in model):
+                    with pytest.raises(ValueError, match="already queued"):
+                        queue.push(request, step)
+                else:
+                    queue.push(request, step)
+                    model.append(request)
+            elif op[0] == "remove":
+                picked = [model[i % len(model)] for i in op[1]] if model else []
+                gone = {r.rid for r in picked}
+                queue.remove(picked + [_req(1000)], step)
+                model = [r for r in model if r.rid not in gone]
+            elif op[0] == "pop":
+                expected = next((r for r in model if r.rid == op[1]), None)
+                assert queue.pop_rid(op[1], step) == expected
+                model = [r for r in model if r.rid != op[1]]
+            else:
+                take, _ = batcher.candidate(list(queue.requests), step, True)
+                if take:
+                    queue.remove(take, step)
+                    model = [r for r in model if r not in take]
+
+            assert len(queue) == len(model)
+            assert list(queue.requests) == model
+            for tenant in TENANTS:
+                assert queue.tenant_depth(tenant) == sum(
+                    r.tenant == tenant for r in model
+                )
+            ordered = sorted(model, key=policy.order_key)
+            assert queue.head_group(len(model)) == [
+                r for r in ordered
+                if policy.bucket(r) == policy.bucket(ordered[0])
+            ]
+            for draining in (False, True):
+                assert batcher.candidate(
+                    queue.head_group(max_batch + 1), now, draining
+                ) == batcher.candidate(list(queue.requests), now, draining)

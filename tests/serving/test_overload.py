@@ -100,6 +100,24 @@ class TestBoundedQueue:
         assert queue.tenant_depth("b") == 1
         assert queue.tenant_depth("nobody") == 0
 
+    def test_tenant_depth_follows_remove_and_pop(self):
+        queue = RequestQueue()
+        for i in range(4):
+            queue.push(Request(rid=i, app="helr", tenant="ab"[i % 2]), 0.0)
+        queue.remove([Request(rid=0, app="helr", tenant="a")], 1.0)
+        assert queue.pop_rid(1, 2.0).tenant == "b"
+        assert queue.pop_rid(1, 2.0) is None  # a second pop changes nothing
+        assert (queue.tenant_depth("a"), queue.tenant_depth("b")) == (1, 1)
+        queue.remove(queue.requests, 3.0)
+        assert (queue.tenant_depth("a"), queue.tenant_depth("b")) == (0, 0)
+
+    def test_push_rejects_a_queued_rid(self):
+        queue = RequestQueue()
+        queue.push(Request(rid=3, app="helr"), 0.0)
+        with pytest.raises(ValueError, match="request id 3"):
+            queue.push(Request(rid=3, app="helr"), 1.0)
+        assert len(queue) == 1 and queue.tenant_depth("default") == 1
+
 
 class TestTiers:
     def test_tier_round_trip(self):

@@ -52,6 +52,14 @@ def _without_rid(line):
     return json.dumps(row)
 
 
+def _repeat_rid(text):
+    lines = text.splitlines()
+    second = json.loads(lines[2])
+    second["rid"] = json.loads(lines[1])["rid"]
+    lines[2] = json.dumps(second)
+    return "\n".join(lines) + "\n"
+
+
 def _zero_lanes(line):
     header = json.loads(line)
     header["server"]["lanes"] = 0
@@ -59,10 +67,12 @@ def _zero_lanes(line):
 
 
 #: Malformed snapshot payloads, as edits of a valid snapshot's text: a
-#: request row without its rid, a truncated JSON line, and a header whose
-#: server config cannot build a server.
+#: request row without its rid, two request rows sharing a rid, a
+#: truncated JSON line, and a header whose server config cannot build a
+#: server.
 MALFORMED_SNAPSHOTS = {
     "request-without-rid": lambda text: _edit_line(text, 1, _without_rid),
+    "repeated-rid": _repeat_rid,
     "truncated-line": lambda text: _edit_line(
         text, 1, lambda line: line[: len(line) // 2]
     ),

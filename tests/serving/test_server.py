@@ -41,6 +41,21 @@ class TestAdmission:
         with pytest.raises(ValueError, match="needs a Request or an app"):
             _server().submit()
 
+    def test_duplicate_rid_rejected_at_submit(self):
+        server = _server(max_batch=1, lanes=1, max_wait_s=0.0)
+        server.submit(Request(rid=5, app="helr"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="request id 5"):
+                server.submit(Request(rid=5, app="helr", arrival_s=1.0))
+        report = server.drain()
+        assert report.offered == report.served == 1
+
+    def test_explicit_rid_may_not_reuse_an_autoassigned_one(self):
+        server = _server()
+        server.submit(app="helr")
+        with pytest.raises(ValueError, match="request id 0"):
+            server.submit(Request(rid=0, app="helr"))
+
     def test_rejects_zero_lanes(self):
         with pytest.raises(ValueError, match="at least one lane"):
             _server(lanes=0)
