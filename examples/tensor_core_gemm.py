@@ -4,15 +4,14 @@ Section 3.4 of the paper argues that a 36-bit modular GEMM needs only
 **3** FP64 plane products (bit-slicing B into 12-bit planes, all partial
 sums below 2**53) versus **25** INT8 plane products -- and 48-bit needs
 4 vs 36.  This example runs both decompositions numerically, checks them
-bit-exact against integer GEMM, and then drives a radix-16 negacyclic NTT
-through the FP64 tensor-core hook.
+bit-exact against integer GEMM, and then runs the engine's four-step GEMM
+NTT (float64 matmuls over 16-bit splits) against the butterfly NTT.
 
 Run:  python examples/tensor_core_gemm.py
 """
 
 import numpy as np
 
-from repro.core.radix16_ntt import NeoNtt
 from repro.gpu.tensorcore import (
     fp64_gemm_mod,
     int8_gemm_mod,
@@ -20,6 +19,7 @@ from repro.gpu.tensorcore import (
     plan_int8_split,
     reference_gemm_mod,
 )
+from repro.math.ntt import NttStack
 from repro.math.primes import ntt_primes
 
 
@@ -46,18 +46,22 @@ def demonstrate_gemm(wordsize):
 
 
 def demonstrate_ntt():
-    degree = 256
-    q = ntt_primes(36, degree, 1)[0]
+    degree = 1 << 12
+    moduli = ntt_primes(30, degree, 2)
     rng = np.random.default_rng(0)
-    coeffs = rng.integers(0, int(q), size=degree, dtype=np.uint64).astype(object)
-    tcu_ntt = NeoNtt(degree, q, use_tcu=True)  # GEMM stages on FP64 emulation
-    ref_ntt = NeoNtt(degree, q, use_tcu=False)  # exact integer GEMM stages
-    spectrum = tcu_ntt.forward(coeffs)
-    assert (spectrum == ref_ntt.forward(coeffs)).all()
-    assert (tcu_ntt.inverse(spectrum).astype(object) == coeffs).all()
+    coeffs = np.stack(
+        [rng.integers(0, q, size=(2, degree), dtype=np.uint64) for q in moduli]
+    )
+    stack = NttStack(degree, moduli)  # four-step GEMM path at this size
+    spectrum = stack.forward(coeffs)
+    butterflies = np.stack(
+        [plan.forward(limb.copy()) for plan, limb in zip(stack.plans, coeffs)]
+    )
+    assert (spectrum == butterflies).all()
+    assert (stack.inverse(spectrum) == coeffs).all()
     print(
-        f"radix-16 NTT (N={degree}, 36-bit prime): factors {tcu_ntt.factors}, "
-        "forward/inverse bit-exact through the FP64 tensor-core emulation"
+        f"four-step GEMM NTT (N={degree}, {len(moduli)} x 30-bit primes, "
+        "batch 2): forward/inverse bit-exact against the butterfly stages"
     )
 
 

@@ -13,6 +13,7 @@ moduli (verified on load).
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -41,6 +42,7 @@ def _poly_to_dict(poly: RnsPolynomial) -> dict:
 
 
 def _poly_from_dict(payload: dict, params: CkksParameters) -> RnsPolynomial:
+    """Rebuild a coefficient-form polynomial, checking every residue."""
     from ..math.rns import RnsBasis
 
     try:
@@ -48,6 +50,19 @@ def _poly_from_dict(payload: dict, params: CkksParameters) -> RnsPolynomial:
         limbs = [np.array(limb, dtype=object) for limb in payload["limbs"]]
     except (KeyError, TypeError) as exc:
         raise DeserializationError(f"malformed polynomial payload: {exc}")
+    if not moduli or any(type(q) is not int or q < 2 for q in moduli):
+        raise DeserializationError(f"moduli must be integers > 1, got {moduli}")
+    if len(limbs) != len(moduli):
+        raise DeserializationError(
+            f"polynomial has {len(limbs)} limbs for {len(moduli)} moduli"
+        )
+    for limb, q in zip(limbs, moduli):
+        if limb.shape != (params.degree,):
+            raise DeserializationError(
+                f"limb of shape {limb.shape}, expected ({params.degree},)"
+            )
+        if any(type(c) is not int or not 0 <= c < q for c in limb):
+            raise DeserializationError(f"limb holds a value outside [0, {q})")
     return RnsPolynomial(params.degree, RnsBasis(moduli), limbs, is_ntt=False)
 
 
@@ -125,11 +140,19 @@ def deserialize_ciphertext(payload: dict, params: CkksParameters) -> Ciphertext:
     try:
         c0 = _poly_from_dict(payload["c0"], params)
         c1 = _poly_from_dict(payload["c1"], params)
-        scale = float(payload["scale"])
+        scale = payload["scale"]
     except KeyError as exc:
         raise DeserializationError(f"missing ciphertext field: {exc}")
     c2 = _poly_from_dict(payload["c2"], params) if "c2" in payload else None
-    return Ciphertext(c0, c1, scale, params, c2=c2)
+    if not isinstance(scale, (int, float)) or not (math.isfinite(scale) and scale > 0):
+        raise DeserializationError(f"ciphertext scale {scale!r} is not finite and > 0")
+    moduli = tuple(c0.basis.moduli)
+    if moduli != tuple(params.moduli[: len(moduli)]):
+        raise DeserializationError("ciphertext moduli are not a prefix of the chain")
+    try:
+        return Ciphertext(c0, c1, scale, params, c2=c2)
+    except ValueError as exc:  # components in different bases
+        raise DeserializationError(str(exc))
 
 
 # -- keys --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Neo core: GEMM-form kernels, mapping policy, pipelines, NeoContext."""
+"""Neo core: GEMM-kernel cost models, mapping policy, pipelines, NeoContext."""
 
 from .ablation import ABLATION_STEPS
 from .autotuner import (
@@ -15,8 +15,8 @@ from .autotuner import (
     tune_app,
     tune_keyswitch,
 )
-from .bconv_matmul import NeoBConv, bconv_cost, reference_bconv
-from .ip_matmul import NeoInnerProduct, ip_cost, reference_inner_product
+from .bconv_matmul import bconv_cost
+from .ip_matmul import ip_cost
 from .mapping import (
     CUDA_ONLY_KERNELS,
     IP_TCU_THRESHOLD,
@@ -42,7 +42,7 @@ from .profiling import (
     profile_application,
     profile_schedule,
 )
-from .radix16_ntt import NeoNtt, ntt_cost, ntt_gemm_macs, radix16_factors
+from .radix16_ntt import ntt_cost, ntt_gemm_macs, radix16_factors
 from .streams import ScheduleResult, StreamScheduler
 from .trace_cache import (
     GLOBAL_TRACE_CACHE,
@@ -66,10 +66,7 @@ __all__ = [
     "HEONGPU_CONFIG",
     "IP_TCU_THRESHOLD",
     "NEO_CONFIG",
-    "NeoBConv",
     "NeoContext",
-    "NeoInnerProduct",
-    "NeoNtt",
     "OpProfile",
     "OperationPipeline",
     "PipelineConfig",
@@ -98,6 +95,4 @@ __all__ = [
     "profile_application",
     "profile_schedule",
     "radix16_factors",
-    "reference_bconv",
-    "reference_inner_product",
 ]

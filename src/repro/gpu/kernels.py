@@ -109,9 +109,6 @@ class KernelCost:
             overhead = self.launches * device.kernel_launch_us * 1e-6
         return overhead + max(self.compute_time_s(device), self.memory_time_s(device))
 
-    def time_us(self, device: DeviceSpec) -> float:
-        return self.time_s(device) * 1e6
-
     # -- algebra -----------------------------------------------------------------
 
     def scaled(self, factor: float, name: Optional[str] = None) -> "KernelCost":

@@ -184,18 +184,3 @@ def reference_gemm_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray
     return modarith.matmul_mod(
         modarith.asarray_mod(a, modulus), modarith.asarray_mod(b, modulus), modulus
     )
-
-
-def make_tcu_gemm(modulus: int, plan: Optional[SplitPlan] = None):
-    """A ``gemm(a, b, q)``-shaped hook running on the FP64 TCU emulation.
-
-    Suitable for injection into :func:`repro.math.ntt.multi_step_ntt`, which
-    is exactly how Neo's radix-16 NTT runs its butterflies on tensor cores.
-    """
-
-    def gemm(a, b, q):
-        if q != modulus:
-            raise ValueError("gemm hook built for a different modulus")
-        return fp64_gemm_mod(a, b, q, plan=plan)
-
-    return gemm

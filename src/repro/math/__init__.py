@@ -12,10 +12,10 @@ from .modarith import (
     to_signed,
     uses_fast_backend,
 )
-from .ntt import NttPlan, get_plan, multi_step_ntt, four_step_ntt
+from .ntt import NttPlan, get_plan
 from .polynomial import RnsPolynomial, negacyclic_multiply, automorphism
 from .primes import is_prime, ntt_primes, disjoint_prime_chains, root_of_unity
-from .rns import RnsBasis, bconv_approx, bconv_exact, bconv_matrix
+from .rns import RnsBasis, bconv_approx, bconv_exact
 
 __all__ = [
     "FAST_MODULUS_BOUND",
@@ -27,15 +27,12 @@ __all__ = [
     "automorphism",
     "bconv_approx",
     "bconv_exact",
-    "bconv_matrix",
     "disjoint_prime_chains",
-    "four_step_ntt",
     "get_plan",
     "inv_mod",
     "is_prime",
     "matmul_mod",
     "mul_mod",
-    "multi_step_ntt",
     "negacyclic_multiply",
     "ntt_primes",
     "pow_mod",

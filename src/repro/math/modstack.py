@@ -185,16 +185,6 @@ class ModulusStack:
         r = np.where(r >= q, r - q, r)
         return np.where(r >= q, r - q, r)
 
-    def shoup_mul(
-        self, a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray
-    ) -> np.ndarray:
-        """Shoup product against per-limb constant stacks (native only)."""
-        a, w = self._align(a, w)
-        a, w_shoup = self._align(a, w_shoup)
-        return modarith.shoup_mul_mod(
-            a, w, w_shoup, self._col(self._q, a.ndim), operand32=self._op32
-        )
-
     def scalar_mul(self, a: np.ndarray, scalars: Sequence[int]) -> np.ndarray:
         """Multiply limb ``i`` by Python-int ``scalars[i]``."""
         if len(scalars) != len(self.moduli):

@@ -1,7 +1,6 @@
 """Number-theoretic transforms over NTT-friendly prime fields.
 
-Three functionally equivalent implementations are provided, mirroring the
-paper's discussion (Section 4.4):
+Two functionally equivalent implementations are provided:
 
 * :class:`NttPlan` -- the classic iterative negacyclic NTT (Cooley-Tukey
   forward / Gentleman-Sande inverse with merged ``psi`` twisting).  Every
@@ -12,14 +11,12 @@ paper's discussion (Section 4.4):
 * :class:`NttStack` -- the same transform batched across a whole RNS limb
   stack: one call moves an ``(L, ..., N)`` double-CRT tensor between the
   coefficient and evaluation domains, with per-limb twiddle tables stacked
-  into ``(L, N)`` arrays so no Python-level per-limb loop remains.
-* :func:`four_step_ntt` / :func:`multi_step_ntt` -- the matrix-multiplication
-  formulations (four-step and the generalised "ten-step"/radix-16
-  decomposition) that Neo maps onto tensor cores.  They operate on the
-  *cyclic* DFT after an explicit ``psi``-twist, exactly as Fig. 9 shows
-  ("Mul & Trans" = twist + transpose between GEMMs).
+  into ``(L, N)`` arrays so no Python-level per-limb loop remains.  At
+  ``N >= 2**12`` over sub-``2**31`` moduli it runs the paper's four-step
+  GEMM NTT (Section 4.4, Fig. 9), with the ``psi`` twist and bit-reversal
+  folded into the constant matrices.
 
-All transforms agree element-for-element; the test-suite asserts it.
+Both agree element-for-element; the test-suite asserts it.
 
 Plans are memoised in a bounded LRU cache (same discipline as
 :mod:`repro.core.trace_cache`; ``math`` must not import ``core``, so the
@@ -33,8 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,8 +95,6 @@ class NttPlan:
         inv_powers = self._power_table(self.psi_inv)
         self._psi_rev = powers[rev]
         self._psi_inv_rev = inv_powers[rev]
-        self._twist: Optional[np.ndarray] = None
-        self._untwist: Optional[np.ndarray] = None
         if self.native:
             self._psi_rev_shoup = _shoup_table(self._psi_rev, modulus)
             self._psi_inv_rev_shoup = _shoup_table(self._psi_inv_rev, modulus)
@@ -108,8 +102,6 @@ class NttPlan:
             self._n_inv_shoup = _U64(
                 modarith.shoup_precompute(self.degree_inv, modulus)
             )
-            self._twist_shoup: Optional[np.ndarray] = None
-            self._untwist_shoup: Optional[np.ndarray] = None
 
     def _power_table(self, base: int) -> np.ndarray:
         table = np.empty(self.degree, dtype=object)
@@ -244,40 +236,6 @@ class NttPlan:
             t *= 2
             m = h
         return modarith.scalar_mul_mod(a, self.degree_inv, q)
-
-    # -- psi twisting --------------------------------------------------------
-
-    def _twist_tables(self, inverse: bool):
-        if inverse:
-            if self._untwist is None:
-                self._untwist = self._power_table(self.psi_inv)
-                if self.native:
-                    self._untwist_shoup = _shoup_table(self._untwist, self.modulus)
-            return (
-                self._untwist,
-                self._untwist_shoup if self.native else None,
-            )
-        if self._twist is None:
-            self._twist = self._power_table(self.psi)
-            if self.native:
-                self._twist_shoup = _shoup_table(self._twist, self.modulus)
-        return self._twist, self._twist_shoup if self.native else None
-
-    def twist(self, coeffs: np.ndarray) -> np.ndarray:
-        """Multiply coefficient ``i`` by ``psi**i`` (negacyclic -> cyclic)."""
-        a = modarith.asarray_mod(coeffs, self.modulus)
-        w, w_shoup = self._twist_tables(inverse=False)
-        if self.native and a.dtype != object:
-            return modarith.shoup_mul_mod(a, w, w_shoup, _U64(self.modulus))
-        return modarith.mul_mod(a, w, self.modulus)
-
-    def untwist(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`twist` (multiply by ``psi**-i``)."""
-        a = modarith.asarray_mod(coeffs, self.modulus)
-        w, w_shoup = self._twist_tables(inverse=True)
-        if self.native and a.dtype != object:
-            return modarith.shoup_mul_mod(a, w, w_shoup, _U64(self.modulus))
-        return modarith.mul_mod(a, w, self.modulus)
 
 
 class NttStack:
@@ -747,147 +705,3 @@ def plan_cache_stats() -> Dict[str, Dict[str, float]]:
         "plans": _PLAN_CACHE.stats.as_dict(),
         "stacks": _STACK_CACHE.stats.as_dict(),
     }
-
-
-# ---------------------------------------------------------------------------
-# Matrix-multiplication NTT formulations (the forms Neo maps onto TCUs)
-# ---------------------------------------------------------------------------
-
-
-def dft_matrix(size: int, root: int, modulus: int) -> np.ndarray:
-    """The `size` x `size` DFT matrix ``W[j, k] = root**(j*k) mod modulus``."""
-    exponents = np.outer(np.arange(size), np.arange(size)) % size
-    flat = np.array(
-        [pow(root, int(e), modulus) for e in exponents.ravel()], dtype=object
-    ).reshape(size, size)
-    if modarith.uses_native_backend(modulus):
-        return flat.astype(_U64)
-    return flat
-
-
-def cyclic_dft(coeffs: np.ndarray, modulus: int, root: int) -> np.ndarray:
-    """Dense (O(n^2)) cyclic DFT; ground truth for the fast decompositions."""
-    w = dft_matrix(len(coeffs), root, modulus)
-    return modarith.matmul_mod(w, modarith.asarray_mod(coeffs, modulus), modulus)
-
-
-def multi_step_ntt(
-    coeffs: np.ndarray,
-    modulus: int,
-    root: int,
-    factors: Sequence[int],
-    gemm=None,
-) -> np.ndarray:
-    """Cyclic DFT of ``len(coeffs)`` via recursive Cooley-Tukey GEMM steps.
-
-    ``factors`` is the radix decomposition of the transform size: ``(n1, n2)``
-    gives the paper's four-step NTT; ``(16, 16, 16, 16)`` at ``N = 2**16``
-    gives the Radix-16 ("ten-step") NTT of Section 4.4.  Every butterfly
-    stage is expressed as a modular GEMM so that a tensor-core GEMM emulation
-    can be injected through ``gemm`` (defaults to the exact integer GEMM).
-
-    Output is in natural (not bit-reversed) order.
-    """
-    n = len(coeffs)
-    if int(np.prod(factors)) != n:
-        raise ValueError(f"factors {tuple(factors)} do not multiply to {n}")
-    if gemm is None:
-        gemm = modarith.matmul_mod
-    x = modarith.asarray_mod(coeffs, modulus)
-    return _ct_recursive(x, modulus, root, list(factors), gemm)
-
-
-def _ct_recursive(x, modulus, root, factors, gemm):
-    """Recursive Cooley-Tukey split X = DFT_a combined with DFT_b blocks."""
-    n = len(x)
-    if len(factors) == 1:
-        w = dft_matrix(n, root, modulus)
-        return gemm(w, x.reshape(n, 1), modulus).reshape(n)
-    a = factors[0]
-    b = n // a
-    # x[j] with j = j1*b + j2  ->  M[j2, j1]
-    m = x.reshape(a, b).T.copy()
-    # Step 1: DFT of size a along rows:  A[j2, k1] = sum_j1 M[j2, j1] w_a^{j1 k1}
-    w_a = dft_matrix(a, modarith.pow_mod(root, b, modulus), modulus)
-    stage = gemm(m, w_a, modulus)
-    # Step 2: twiddle by root^{j2 * k1}
-    twiddle_exp = np.outer(np.arange(b), np.arange(a)) % n
-    twiddle = np.array(
-        [pow(root, int(e), modulus) for e in twiddle_exp.ravel()], dtype=object
-    ).reshape(b, a)
-    if modarith.uses_native_backend(modulus):
-        twiddle = twiddle.astype(_U64)
-        stage = modarith.mul_mod(modarith.asarray_mod(stage, modulus), twiddle, modulus)
-    else:
-        stage = modarith.mul_mod(stage.astype(object), twiddle, modulus)
-    # Step 3: size-b DFT down each column, recursively decomposed.
-    root_b = modarith.pow_mod(root, a, modulus)
-    columns = []
-    for k1 in range(a):
-        columns.append(_ct_recursive(stage[:, k1], modulus, root_b, factors[1:], gemm))
-    result = np.stack(columns, axis=1)  # result[k2, k1]
-    return result.reshape(n)  # X[k1 + a*k2] = result[k2, k1]
-
-
-def four_step_ntt(coeffs, modulus, root, n1=None, gemm=None):
-    """The paper's four-step NTT: one (n1, n2) GEMM split of the cyclic DFT."""
-    n = len(coeffs)
-    if n1 is None:
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-    return multi_step_ntt(coeffs, modulus, root, (n1, n // n1), gemm=gemm)
-
-
-def negacyclic_twist(coeffs: np.ndarray, degree: int, modulus: int) -> np.ndarray:
-    """Multiply coefficient ``i`` by ``psi**i``, mapping negacyclic to cyclic."""
-    return get_plan(degree, modulus).twist(coeffs)
-
-
-def negacyclic_untwist(coeffs: np.ndarray, degree: int, modulus: int) -> np.ndarray:
-    """Inverse of :func:`negacyclic_twist` (multiply by ``psi**-i``)."""
-    return get_plan(degree, modulus).untwist(coeffs)
-
-
-def negacyclic_ntt_via_gemm(
-    coeffs: np.ndarray, modulus: int, factors: Sequence[int], gemm=None
-) -> np.ndarray:
-    """Negacyclic NTT = psi-twist followed by the GEMM-decomposed cyclic DFT.
-
-    Returns evaluations in natural order: entry ``k`` is the polynomial
-    evaluated at ``psi**(2k+1)``.
-    """
-    degree = len(coeffs)
-    plan = get_plan(degree, modulus)
-    omega = plan.psi * plan.psi % modulus
-    twisted = negacyclic_twist(coeffs, degree, modulus)
-    return multi_step_ntt(twisted, modulus, omega, factors, gemm=gemm)
-
-
-def negacyclic_intt_via_gemm(
-    values: np.ndarray, modulus: int, factors: Sequence[int], gemm=None
-) -> np.ndarray:
-    """Inverse of :func:`negacyclic_ntt_via_gemm`."""
-    degree = len(values)
-    plan = get_plan(degree, modulus)
-    omega_inv = modarith.inv_mod(plan.psi * plan.psi % modulus, modulus)
-    spectrum = multi_step_ntt(values, modulus, omega_inv, factors, gemm=gemm)
-    scaled = modarith.scalar_mul_mod(spectrum, plan.degree_inv, modulus)
-    return negacyclic_untwist(scaled, degree, modulus)
-
-
-def natural_order_negacyclic(plan: NttPlan, coeffs: np.ndarray) -> np.ndarray:
-    """Reference dense negacyclic NTT in natural order (for cross-checks)."""
-    degree = plan.degree
-    modulus = plan.modulus
-    points = [pow(plan.psi, 2 * k + 1, modulus) for k in range(degree)]
-    vandermonde_rows: List[np.ndarray] = []
-    for point in points:
-        row = np.empty(degree, dtype=object)
-        value = 1
-        for i in range(degree):
-            row[i] = value
-            value = value * point % modulus
-        vandermonde_rows.append(row)
-    matrix = np.stack(vandermonde_rows)
-    return modarith.matmul_mod(
-        matrix, modarith.asarray_mod(coeffs, modulus).astype(object).reshape(-1, 1), modulus
-    ).reshape(degree)

@@ -256,19 +256,6 @@ def bconv_exact(
     return to_basis.decompose(values)
 
 
-def bconv_matrix(from_basis: RnsBasis, to_basis: RnsBasis) -> np.ndarray:
-    """The ``len(from) x len(to)`` matrix ``B[i, j] = q_hat_i mod p_j``.
-
-    This is matrix ``B`` of the paper's Algorithm 2: after the per-limb
-    scalar multiplication by ``q_hat_inv_i``, BConv is exactly a GEMM with
-    this constant matrix (modulo each output prime).
-    """
-    rows = []
-    for q_hat in from_basis.q_hat:
-        rows.append([q_hat % p for p in to_basis.moduli])
-    return np.array(rows, dtype=object)
-
-
 def overflow_bound(from_basis: RnsBasis) -> int:
     """Upper bound (exclusive) on the ``u`` overflow of :func:`bconv_approx`."""
     return len(from_basis)

@@ -9,6 +9,51 @@ from repro.ckks import serialization as ser
 from .conftest import random_slots
 
 
+def _set_residue(value):
+    def mutate(payload):
+        payload["c0"]["limbs"][0][0] = value(payload["c0"]["moduli"][0])
+
+    return mutate
+
+
+def _set_scale(value):
+    def mutate(payload):
+        payload["scale"] = value
+
+    return mutate
+
+
+def _drop_first_limb(payload):
+    for name in ("c0", "c1"):
+        del payload[name]["limbs"][0]
+        del payload[name]["moduli"][0]
+
+
+def _drop_top_limb_of_c1(payload):
+    del payload["c1"]["limbs"][-1]
+    del payload["c1"]["moduli"][-1]
+
+
+#: Ciphertext payloads that must raise ``DeserializationError``.  Each one
+#: used to be accepted (decryption then returned ~1e38, NaN or inf) or to
+#: raise a bare ``ValueError``.
+MALFORMED_CIPHERTEXTS = [
+    ("residue-equals-q", _set_residue(lambda q: q)),
+    ("residue-above-q", _set_residue(lambda q: q + 5)),
+    ("negative-residue", _set_residue(lambda q: -1)),
+    ("float-residue", _set_residue(lambda q: 1.5)),
+    ("nan-scale", _set_scale(float("nan"))),
+    ("inf-scale", _set_scale(float("inf"))),
+    ("zero-scale", _set_scale(0.0)),
+    ("negative-scale", _set_scale(-(2.0**25))),
+    ("string-scale", _set_scale("2**25")),
+    ("truncated-limb", lambda p: p["c0"]["limbs"][0].pop()),
+    ("missing-limb", lambda p: p["c0"]["limbs"].pop()),
+    ("moduli-not-a-chain-prefix", _drop_first_limb),
+    ("components-in-different-bases", _drop_top_limb_of_c1),
+]
+
+
 class TestParameters:
     def test_roundtrip(self, params):
         payload = ser.serialize_parameters(params)
@@ -72,6 +117,21 @@ class TestCiphertexts:
         ct = encryptor.encrypt(encoder.encode([1.0], level=2))
         restored = ser.deserialize_ciphertext(ser.serialize_ciphertext(ct), params)
         assert restored.level == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [m for _, m in MALFORMED_CIPHERTEXTS],
+        ids=[name for name, _ in MALFORMED_CIPHERTEXTS],
+    )
+    def test_malformed_payload_rejected(self, params, encoder, encryptor, mutate):
+        payload = ser.from_bytes(
+            ser.to_bytes(
+                ser.serialize_ciphertext(encryptor.encrypt(encoder.encode([1.0])))
+            )
+        )
+        mutate(payload)
+        with pytest.raises(ser.DeserializationError):
+            ser.deserialize_ciphertext(payload, params)
 
     def test_missing_component(self, params, encoder, encryptor):
         payload = ser.serialize_ciphertext(encryptor.encrypt(encoder.encode([1.0])))

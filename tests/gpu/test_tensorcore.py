@@ -89,30 +89,6 @@ def test_int8_gemm_rejects_huge_k():
         tensorcore.int8_gemm_mod(a, b, Q36)
 
 
-def test_make_tcu_gemm_hook():
-    gemm = tensorcore.make_tcu_gemm(Q36)
-    a, b = _random_gemm_operands(Q36, seed=5)
-    got = gemm(a, b, Q36)
-    want = tensorcore.reference_gemm_mod(a, b, Q36)
-    assert (np.asarray(got, dtype=object) == np.asarray(want, dtype=object)).all()
-    with pytest.raises(ValueError):
-        gemm(a, b, Q48)
-
-
-def test_tcu_gemm_drives_ntt():
-    """End-to-end: radix-style GEMM NTT through the FP64 TCU emulation."""
-    from repro.math import ntt
-
-    degree = 16
-    q = ntt_primes(36, degree, 1)[0]
-    rng = np.random.default_rng(7)
-    coeffs = rng.integers(0, int(q), size=degree, dtype=np.uint64).astype(object)
-    gemm = tensorcore.make_tcu_gemm(q)
-    spectrum = ntt.negacyclic_ntt_via_gemm(coeffs, q, (4, 4), gemm=gemm)
-    reference = ntt.negacyclic_ntt_via_gemm(coeffs, q, (4, 4))
-    assert (spectrum.astype(object) == reference.astype(object)).all()
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=2**36 - 1), st.integers(min_value=2, max_value=32))
 def test_property_fp64_single_entry_exact(value, k):

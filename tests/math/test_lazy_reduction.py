@@ -114,9 +114,11 @@ _FLOOR_PRIMES = tuple(ntt_primes(32, 64, 2))
             (_CEILING_PRIMES[0], _FLOOR_PRIMES[0]),
         ]
     ),
+    # (N,) limbs, and the (BS, N) batch of a ciphertext batch.
+    st.sampled_from([(3,), (2, 5)]),
     st.integers(0, 2**32),
 )
-def test_bconv_matmul_matches_object_gemm(moduli, seed):
+def test_bconv_matmul_matches_object_gemm(moduli, shape, seed):
     """The padded conversion GEMM equals the exact object-dtype matmul."""
     rng = np.random.default_rng(seed)
     from_basis = RnsBasis(ntt_primes(40, 64, 2))
@@ -124,7 +126,7 @@ def test_bconv_matmul_matches_object_gemm(moduli, seed):
     stack = ModulusStack(to_basis.moduli)
     scaled = np.stack(
         [
-            rng.integers(0, int(f), size=3, dtype=np.uint64)
+            rng.integers(0, int(f), size=shape, dtype=np.uint64)
             for f in from_basis.moduli
         ]
     )
@@ -132,16 +134,17 @@ def test_bconv_matmul_matches_object_gemm(moduli, seed):
     got = stack.bconv_matmul(
         scaled, weights, operand_bound=max(from_basis.moduli)
     )
+    assert got.shape == (len(to_basis),) + shape
     for j, p in enumerate(to_basis.moduli):
-        want = [
-            sum(
-                int(scaled[i, c]) * int(weights[j, i])
-                for i in range(len(from_basis))
+        for c in np.ndindex(shape):
+            want = (
+                sum(
+                    int(scaled[(i,) + c]) * int(weights[j, i])
+                    for i in range(len(from_basis))
+                )
+                % p
             )
-            % p
-            for c in range(scaled.shape[1])
-        ]
-        assert list(got[j].astype(object)) == want
+            assert int(got[(j,) + c]) == want
 
 
 def test_operand_bound_shrinks_chunk():

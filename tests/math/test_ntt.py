@@ -1,11 +1,11 @@
-"""Tests for all NTT variants: iterative, four-step GEMM, radix-16 GEMM."""
+"""Tests for the NTT engines: per-limb butterflies and the stacked GEMM NTT."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.math import modarith, ntt
-from repro.math.primes import ntt_primes, root_of_unity
+from repro.math.primes import ntt_primes
 
 SMALL_Q = ntt_primes(28, 256, 1)[0]
 BIG_Q = ntt_primes(36, 256, 1)[0]
@@ -51,70 +51,6 @@ def test_convolution_theorem():
             ref[k] += sign * int(a[i]) * int(b[j])
     ref %= q
     assert list(via_ntt.astype(object)) == list(ref)
-
-
-@pytest.mark.parametrize("factors", [(16,), (4, 4), (2, 8), (2, 2, 2, 2)])
-def test_multi_step_matches_dense_dft(factors):
-    size, q = 16, SMALL_Q
-    w = root_of_unity(size, q)
-    rng = np.random.default_rng(3)
-    x = rng.integers(0, q, size=size)
-    dense = ntt.cyclic_dft(x, q, w)
-    fast = ntt.multi_step_ntt(x, q, w, factors)
-    assert list(fast.astype(object)) == list(dense.astype(object))
-
-
-def test_multi_step_bad_factors():
-    with pytest.raises(ValueError):
-        ntt.multi_step_ntt(np.zeros(16), SMALL_Q, 3, (4, 8))
-
-
-def test_four_step_default_split():
-    size, q = 64, SMALL_Q
-    w = root_of_unity(size, q)
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, q, size=size)
-    assert list(ntt.four_step_ntt(x, q, w).astype(object)) == list(
-        ntt.cyclic_dft(x, q, w).astype(object)
-    )
-
-
-@pytest.mark.parametrize("q", [SMALL_Q, BIG_Q])
-def test_negacyclic_gemm_matches_natural_order_reference(q):
-    """Twist + GEMM DFT == dense Vandermonde negacyclic NTT (natural order)."""
-    degree = 16
-    rng = np.random.default_rng(11)
-    coeffs = rng.integers(0, 2**30, size=degree).astype(object)
-    plan = ntt.get_plan(degree, q)
-    reference = ntt.natural_order_negacyclic(plan, coeffs)
-    via_gemm = ntt.negacyclic_ntt_via_gemm(coeffs, q, (4, 4))
-    assert list(via_gemm.astype(object)) == list(reference.astype(object))
-
-
-@pytest.mark.parametrize("factors", [(16, 16), (4, 4, 4, 4), (16, 4, 4)])
-def test_negacyclic_gemm_roundtrip_radix16_shapes(factors):
-    """Radix-16-style decompositions invert exactly (the ten-step NTT core)."""
-    degree = int(np.prod(factors))
-    q = ntt_primes(28, degree, 1)[0]
-    rng = np.random.default_rng(13)
-    coeffs = rng.integers(0, q, size=degree)
-    spectrum = ntt.negacyclic_ntt_via_gemm(coeffs, q, factors)
-    back = ntt.negacyclic_intt_via_gemm(spectrum, q, factors)
-    assert list(back.astype(object)) == [int(c) % q for c in coeffs]
-
-
-def test_gemm_injection_is_used():
-    """A custom GEMM hook must be called by the multi-step NTT."""
-    calls = []
-
-    def spy_gemm(a, b, q):
-        calls.append((a.shape, b.shape))
-        return modarith.matmul_mod(a, b, q)
-
-    size, q = 16, SMALL_Q
-    w = root_of_unity(size, q)
-    ntt.multi_step_ntt(np.arange(size), q, w, (4, 4), gemm=spy_gemm)
-    assert calls, "gemm hook was never invoked"
 
 
 def test_bit_reverse_permutation_involutive():
@@ -176,3 +112,42 @@ class TestBatchedNtt:
         for i in range(4):
             ref = negacyclic_multiply(a[i], b[i], degree, q)
             assert (prod[i].astype(object) == ref.astype(object)).all()
+
+
+class TestNttStackGemm:
+    """``NttStack``'s four-step GEMM path against the per-limb butterflies.
+
+    The three sizes reach both branches of ``_gemm_mod``: at N=2^12 with
+    30-bit primes both matrix products are two GEMMs over unsplit data; at
+    N=2^13 with 31-bit primes the right one needs the three-GEMM Karatsuba
+    split, and at N=2^14 both do.
+    """
+
+    @pytest.mark.parametrize(
+        "log_n, bits, two_gemm",
+        [(12, 30, (True, True)), (13, 31, (True, False)), (14, 31, (False, False))],
+        ids=["n4096-two-gemm", "n8192-karatsuba-right", "n16384-karatsuba-both"],
+    )
+    def test_matches_per_limb_butterflies(self, log_n, bits, two_gemm):
+        degree = 1 << log_n
+        moduli = ntt_primes(bits, degree, 2)
+        stack = ntt.NttStack(degree, moduli)
+        assert stack._gemm_ok
+        for inverse in (False, True):
+            tables = stack._gemm_tables(inverse)
+            assert (tables["left_two"], tables["right_two"]) == two_gemm
+        rng = np.random.default_rng(log_n)
+        x = np.stack(
+            [rng.integers(0, q, size=(3, degree), dtype=np.uint64) for q in moduli]
+        )
+        fwd = stack.forward(x)
+        assert fwd.dtype == np.uint64 and fwd.shape == x.shape
+        want = np.stack(
+            [plan.forward(limb.copy()) for plan, limb in zip(stack.plans, x)]
+        )
+        assert (fwd == want).all()
+        want_inv = np.stack(
+            [plan.inverse(limb.copy()) for plan, limb in zip(stack.plans, x)]
+        )
+        assert (stack.inverse(x) == want_inv).all()
+        assert (stack.inverse(fwd) == x).all()

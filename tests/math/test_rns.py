@@ -79,8 +79,8 @@ def test_bconv_limb_count_checked():
         rns.bconv_approx([np.zeros(4, dtype=object)], BASIS_Q, BASIS_P)
 
 
-def test_bconv_matrix_equivalence():
-    """Algorithm 2 (scalar-mul + GEMM with bconv_matrix) == Algorithm 1."""
+def test_bconv_weights_equivalence():
+    """Algorithm 2 (scalar-mul + GEMM with bconv_weights) == Algorithm 1."""
     rng = np.random.default_rng(3)
     n = 16
     values = rng.integers(0, 2**60, size=n).astype(object) % BASIS_Q.product
@@ -93,7 +93,7 @@ def test_bconv_matrix_equivalence():
             for limb, q, inv in zip(limbs, BASIS_Q.moduli, BASIS_Q.q_hat_inv)
         ]
     )  # (alpha, N)
-    b_matrix = rns.bconv_matrix(BASIS_Q, BASIS_P)  # (alpha, alpha')
+    b_matrix = rns.bconv_weights(BASIS_Q, BASIS_P).T.astype(object)  # (alpha, alpha')
     gemm = scaled.T @ b_matrix  # (N, alpha')
     for j, p in enumerate(BASIS_P.moduli):
         assert (gemm[:, j] % p == via_alg1[j].astype(object)).all()
